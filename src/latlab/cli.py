@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import families, lattice, perfection, tables
 from .errors import ConstructionError, SpecError
@@ -28,19 +28,21 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    format: str = "json"
-    jobs: int = 1
-    norm_cap: int = 12
-    sym_budget: int = 200_000
-
-
 def _default_jobs() -> int:
     try:
         return max(1, int(os.environ.get("LATLAB_JOBS", "1")))
     except ValueError:
         return 1
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run options; an option left off the command line takes its
+    default here."""
+
+    format: str = "json"
+    jobs: int = field(default_factory=_default_jobs)
+    norm_cap: int = 12
 
 
 def _emit_json(obj) -> None:
@@ -95,13 +97,7 @@ def _cmd_minvec(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     spec = families.parse_family(args.spec)
-    try:
-        report = families.verify_formula(spec)
-    except ValueError as exc:
-        if "no closed form" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
+    report = families.verify_formula(spec)
     if cfg.format == "csv":
         _emit_csv(
             ("family", "quantity", "formula_value", "enumerated_value", "agree"),
@@ -128,10 +124,7 @@ def _cmd_table(args, cfg: RunConfig) -> int:
 
 
 def _cmd_scan_d(args, cfg: RunConfig) -> int:
-    excl = tuple(int(tok) for tok in args.excl.split(",")) if args.excl else ()
-    if any(b <= a for a, b in zip(excl, excl[1:])) or any(a < 1 for a in excl):
-        print("error: exclusions must be strictly increasing and positive", file=sys.stderr)
-        return EXIT_USAGE
+    excl = families.parse_excl("Ld", args.excl) if args.excl else ()
     result = perfection.scan_D(excl, args.dmax, jobs=cfg.jobs)
     if cfg.format == "csv":
         _emit_csv(("excl", "d_max", "D", "perfect_ds"),
@@ -155,7 +148,10 @@ def _cmd_graph(args, cfg: RunConfig) -> int:
         mvs = found[1]
     base = None
     if args.base_vector:
-        base = tuple(int(tok) for tok in args.base_vector.split(","))
+        try:
+            base = tuple(int(tok) for tok in args.base_vector.split(","))
+        except ValueError as exc:
+            raise SpecError(f"bad base vector {args.base_vector!r}") from exc
         if len(base) != lat.ambient_dim:
             print("error: base vector length does not match ambient dimension",
                   file=sys.stderr)
@@ -206,7 +202,7 @@ def _cmd_craig(args, cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # the run options are accepted both before and after the subcommand;
     # SUPPRESS keeps a post-subcommand absence from clobbering a value parsed
-    # from the front of the line
+    # from the front of the line, and main fills in the defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
@@ -217,10 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latlab",
         description="Build and analyze integral lattices cut out by congruence constraints.",
+        parents=[common],
     )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--norm-cap", dest="norm_cap", type=int, default=12)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", parents=[common], help="construct a lattice and print it")
@@ -275,14 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        format=args.format,
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
-        norm_cap=args.norm_cap,
-    )
-    if cfg.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                       if hasattr(args, f.name)})
+    for flag, value in (("--jobs", cfg.jobs), ("--norm-cap", cfg.norm_cap),
+                        ("--norm", getattr(args, "norm", None))):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args, cfg)
     except SpecError as exc:
@@ -291,6 +284,12 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except ValueError as exc:
+        # a closed form asked for outside its range is a usage error
+        if str(exc) not in ("no closed form", "outside theorem"):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from math import isqrt
 from . import lattice
 from .errors import ConstructionError, SpecError
 from .fields import FiniteField, field_for_order
-from .groups import FinAbelianGroup, is_sidon, mod_negation_reps, parse_group, two_torsion_rank
+from .groups import (FinAbelianGroup, factorize, is_sidon, mod_negation_reps, parse_group,
+                     two_torsion_rank)
 from .lattice import ConstraintSystem, Lattice
 
 TAGS = ("Ld", "Od", "Md", "LA", "LAsub", "Mneg", "T", "Craig", "Sidon", "SidonInv")
@@ -78,14 +79,28 @@ class FamilySpec:
         return f"SidonInv:q={self.q}"
 
 
-def _parse_excl(text: str) -> tuple[int, ...]:
+def parse_excl(tag: str, text: str) -> tuple[int, ...]:
+    """Parse a comma separated exclusion list for an Ld, Od or Md family."""
     try:
         excl = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise SpecError(f"bad exclusion list {text!r}") from exc
     if any(b <= a for a, b in zip(excl, excl[1:])):
         raise SpecError("exclusions must be strictly increasing")
+    _check_excl(tag, excl)
     return excl
+
+
+def _check_excl(tag: str, excl) -> None:
+    """The sign and parity rules on exclusions: Ld and Od ones are positive,
+    Od ones odd and Md ones nonnegative."""
+    if tag == "Od" and any(a % 2 == 0 for a in excl):
+        raise SpecError("Od exclusions must be odd")
+    if tag == "Md":
+        if any(a < 0 for a in excl):
+            raise SpecError("Md exclusions must be nonnegative")
+    elif any(a < 1 for a in excl):
+        raise SpecError("exclusions must be positive")
 
 
 def _excl_window_check(spec: FamilySpec) -> None:
@@ -104,8 +119,6 @@ def _excl_window_check(spec: FamilySpec) -> None:
         lo, hi = 1, d + 1 + k
     elif spec.tag == "Od":
         lo, hi = 1, 2 * (d + k) - 1
-        if any(a % 2 == 0 for a in spec.excl):
-            raise SpecError("Od exclusions must be odd")
     else:
         lo, hi = 0, d + k - 1
     for a in spec.excl:
@@ -134,15 +147,9 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
             if len(parts) == 3:
                 if not parts[2].startswith("excl="):
                     raise SpecError(f"unexpected argument {parts[2]!r}")
-                excl = _parse_excl(parts[2][5:])
+                excl = parse_excl(tag, parts[2][5:])
             elif len(parts) > 3:
                 raise SpecError("too many ':' separated parts")
-            if excl and tag == "Od" and any(a % 2 == 0 for a in excl):
-                raise SpecError("Od exclusions must be odd")
-            if excl and tag != "Md" and excl[0] < 1:
-                raise SpecError("exclusions must be positive")
-            if excl and tag == "Md" and excl[0] < 0:
-                raise SpecError("Md exclusions must be nonnegative")
             spec = FamilySpec(tag, d=d, excl=excl)
             if strict:
                 _excl_window_check(spec)
@@ -225,20 +232,18 @@ def _group_rows(group: FinAbelianGroup, coords) -> list[tuple[tuple[int, ...], i
 def make(spec: FamilySpec) -> ConstraintSystem:
     """Constraint system of the named family."""
     tag = spec.tag
+    if tag in ("Ld", "Od", "Md"):
+        _check_excl(tag, spec.excl)
     if tag == "Ld":
         coeffs = _window(spec.excl, spec.d + 2, 1)
         n = len(coeffs)
         rows = (((1,) * n, 0), (tuple(coeffs), 0))
         return ConstraintSystem(tuple(str(c) for c in coeffs), rows)
     if tag == "Od":
-        if any(a % 2 == 0 or a < 1 for a in spec.excl):
-            raise ConstructionError("Od exclusions must be odd and positive")
         coeffs = _window(spec.excl, spec.d + 1, 1, 2)
         rows = ((tuple(coeffs), 0),)
         return ConstraintSystem(tuple(str(c) for c in coeffs), rows)
     if tag == "Md":
-        if any(a < 0 for a in spec.excl):
-            raise ConstructionError("Md exclusions must be nonnegative")
         coeffs = _window(spec.excl, spec.d + 1, 0)
         n = len(coeffs)
         rows = ((tuple(coeffs), 0), ((1,) * n, 2))
@@ -304,7 +309,8 @@ def build_family(spec: FamilySpec | str) -> Lattice:
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
     return q
 
 
@@ -359,8 +365,7 @@ def minpair_formula(spec: FamilySpec) -> int:
         a = Fraction(spec.group.order)
         t = Fraction(2 ** two_torsion_rank(spec.group))
         value = a * (1 - 1 / t) * _choose2(a / 2) + (a / t) * _choose2((a - t) / 2)
-        assert value.denominator == 1
-        return int(value)
+        return _exact_div(value.numerator, value.denominator)
     if tag == "LAsub":
         # one removed element; all such removals give isomorphic lattices
         a = Fraction(spec.group.order)
@@ -370,8 +375,7 @@ def minpair_formula(spec: FamilySpec) -> int:
             + ((a - t) / t) * _choose2((a - t) / 2 - 1)
             + _choose2((a - t) / 2)
         )
-        assert value.denominator == 1
-        return int(value)
+        return _exact_div(value.numerator, value.denominator)
     if tag == "T":
         n = 2 ** spec.c - 1
         return _exact_div(4 * (n * (n - 1) // 2), 3)
@@ -396,19 +400,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _is_prime_power(q: int) -> tuple[int, int] | None:
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1) if q > 1 else None
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return None
-
-
 def craig_pair_count(q_or_field: int | FiniteField, k: int) -> int:
     """Pairs of norm-2(k+1) vectors, summed from the distinct-root histogram."""
     from .fields import distinct_root_histogram
@@ -420,7 +411,7 @@ def craig_pair_count(q_or_field: int | FiniteField, k: int) -> int:
 
 def craig_count_k2_closed(q: int) -> int:
     """Closed form for the k = 2 shortest-vector pair count."""
-    if _is_prime_power(q) is None:
+    if len(factorize(q)) != 1:
         raise ValueError("outside theorem")
     if q % 6 == 1:
         return _exact_div(q * (q - 1) * (q * q - 10 * q + 33), 72)
@@ -431,24 +422,20 @@ def craig_count_k2_closed(q: int) -> int:
 
 def craig_count_k3_closed(q: int) -> int:
     """Closed form for the k = 3 shortest-vector pair count (prime q > 5)."""
-    pp = _is_prime_power(q)
-    if pp is None or pp[1] != 1 or q <= 5:
+    if factorize(q) != [(q, 1)] or q <= 5:
         raise ValueError("outside theorem")
     j1 = jacobi(-1, q)
     j3 = jacobi(-3, q)
     if jacobi(-2, q) == -1:
         delta = 0
     else:
-        rep = None
         for m in range(1, isqrt(q) + 1):
             r, rem = divmod(q - m * m, 2)
-            if rem == 0:
-                n = isqrt(r)
-                if n * n == r:
-                    rep = (m, n)
-                    break
-        assert rep is not None, "q = m^2 + 2n^2 must be solvable when (-2|q) = 1"
-        m, n = rep
+            n = isqrt(r)
+            if rem == 0 and n * n == r:
+                break
+        else:
+            raise ArithmeticError("q = m^2 + 2n^2 must be solvable when (-2|q) = 1")
         delta = 24 * (m * m - 2 * n * n) + 192 + 72 * j1
     c = 483 + 36 * j1 + 64 * j3 + delta
     return _exact_div(q * (q - 1) * (q**3 - 21 * q * q + 171 * q - c), 1152)

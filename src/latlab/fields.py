@@ -14,7 +14,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import SpecError
-from .groups import _is_prime
+from .groups import factorize
 
 Element = tuple[int, ...]
 
@@ -73,7 +73,7 @@ class FiniteField:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if factorize(self.p) != [(self.p, 1)]:
             raise SpecError(f"{self.p} is not prime")
         if self.e < 1:
             raise SpecError("field degree must be positive")
@@ -139,22 +139,17 @@ class FiniteField:
         return self.pow(a, self.order - 2)
 
 
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, or SpecError when q is not a prime power."""
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise SpecError(f"{q} is not a prime power")
+    return factors[0]
+
+
 def field_for_order(q: int, modulus: tuple[int, ...] | None = None) -> FiniteField:
     """Field of order q, using the built-in modulus table for prime powers."""
-    p, e = None, None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            e = 0
-            n = q
-            while n % cand == 0:
-                n //= cand
-                e += 1
-            if n != 1:
-                raise SpecError(f"{q} is not a prime power")
-            break
-    if p is None:
-        raise SpecError(f"{q} is not a prime power")
+    p, e = _prime_power(q)
     if e == 1:
         return FiniteField(p, 1, (0, 1) if modulus is None else modulus)
     if modulus is None:
@@ -196,8 +191,7 @@ def parse_field(text: str) -> FiniteField:
     q = int(m.group(1))
     if m.group(2) is None:
         return field_for_order(q)
-    # characteristic of q, for reducing the polynomial's coefficients
-    p = next(c for c in range(2, q + 1) if q % c == 0)
+    p, _ = _prime_power(q)
     return field_for_order(q, _parse_poly(m.group(2), p))
 
 
@@ -222,5 +216,6 @@ def distinct_root_histogram(field: FiniteField, k: int) -> dict[tuple[Element, .
             nxt.append(poly[-1])
             poly = nxt
         hist[tuple(poly[1:k + 1])] += 1
-    assert sum(hist.values()) == comb(field.order, k + 1)
+    if sum(hist.values()) != comb(field.order, k + 1):
+        raise RuntimeError("histogram lost subsets")
     return hist

@@ -14,18 +14,25 @@ from itertools import product
 
 from .errors import SpecError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation [(p, e), ...] with p increasing; [] when n < 2.
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    Trial division, which is ample for the desk-scale orders used here.
+    """
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ def parse_group(text: str) -> FinAbelianGroup:
         m = re.fullmatch(r"F(\d+)\^(\d+)", part)
         if m:
             p, k = int(m.group(1)), int(m.group(2))
-            if not _is_prime(p):
+            if factorize(p) != [(p, 1)]:
                 raise SpecError(f"{part!r}: {p} is not prime")
             if k < 1:
                 raise SpecError(f"{part!r}: exponent must be positive")
@@ -143,22 +150,8 @@ def abelian_groups_of_order(n: int) -> list[FinAbelianGroup]:
                 out.append((first,) + rest)
         return out
 
-    factorization = []
-    rest = n
-    for p in range(2, n + 1):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factorization.append((p, e))
-    if rest > 1:
-        factorization.append((rest, 1))
-
     groups = [()]
-    for p, e in factorization:
+    for p, e in factorize(n):
         groups = [g + tuple(p**a for a in part)
                   for g in groups for part in partitions(e, e)]
     return [FinAbelianGroup(tuple(sorted(g))) for g in sorted(groups)]

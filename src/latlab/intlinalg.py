@@ -161,7 +161,8 @@ def kernel_basis(problem: KernelProblem) -> Matrix:
     full = integer_kernel(A)
     projected = [row[:n] for row in full]
     basis = nonzero_rows(hnf(projected))
-    assert len(basis) == len(projected), "kernel projection lost rank"
+    if len(basis) != len(projected):
+        raise RuntimeError("kernel projection lost rank")
     return basis
 
 
@@ -243,7 +244,8 @@ def char_poly(M) -> list[int]:
     Mk = [list(row) for row in M]
     for k in range(1, n + 1):
         ck, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
         if k == n:
             break

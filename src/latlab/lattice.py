@@ -78,7 +78,8 @@ def build(cs: ConstraintSystem) -> Lattice:
         raise ConstructionError("trivial lattice")
     gram = intlinalg.gram_matrix(basis)
     det = intlinalg.bareiss_det(gram)
-    assert det > 0
+    if det <= 0:
+        raise ArithmeticError("Gram determinant of a basis must be positive")
     return Lattice(
         constraints=cs,
         basis=tuple(tuple(row) for row in basis),
@@ -241,7 +242,8 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
     q = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         s = Fraction(G[i][i]) - sum(q[k][k] * q[k][i] ** 2 for k in range(i))
-        assert s > 0, "Gram matrix must be positive definite"
+        if s <= 0:
+            raise ArithmeticError("Gram matrix must be positive definite")
         q[i][i] = s
         for j in range(i + 1, d):
             t = Fraction(G[i][j]) - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))
@@ -262,7 +264,8 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
                 descend(i - 1, used_i)
             elif any(x):
                 norm = int(used_i)
-                assert used_i == norm and 1 <= norm <= bound
+                if used_i != norm or not 1 <= norm <= bound:
+                    raise ArithmeticError(f"oracle reached norm {used_i} outside 1..{bound}")
                 amb = [0] * lat.ambient_dim
                 for c, row in zip(x, lat.basis):
                     if c:

@@ -184,10 +184,6 @@ class HyperplaneSplit:
     def hypotheses_hold(self) -> bool:
         return self.section_perfect and self.complement_spans
 
-    @property
-    def implies_perfect(self) -> bool:
-        return self.hypotheses_hold
-
 
 def hyperplane_split_check(vectors, w) -> HyperplaneSplit:
     """Sufficient condition for perfection via a hyperplane section.
@@ -207,8 +203,8 @@ def hyperplane_split_check(vectors, w) -> HyperplaneSplit:
     section_perfect = bool(section) and sym_square_rank(section) == comb(d, 2)
     complement_spans = bool(complement) and intlinalg.rank([list(v) for v in complement]) == d
     result = HyperplaneSplit(section_perfect, complement_spans)
-    if result.hypotheses_hold:
-        assert sym_square_rank(vecs) == comb(d + 1, 2), "split criterion violated"
+    if result.hypotheses_hold and sym_square_rank(vecs) != comb(d + 1, 2):
+        raise RuntimeError("split criterion violated")
     return result
 
 
@@ -236,6 +232,16 @@ class ScanResult:
         }
 
 
+def _map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], spread over `jobs` worker processes."""
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _scan_entry(args) -> bool:
     excl, d = args
     lat = families.build_family(FamilySpec("Ld", d=d, excl=excl))
@@ -261,20 +267,14 @@ def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:
     if d_max is None:
         d_max = bound
     dims = range(1, d_max + 1)
-    args = [(excl, d) for d in dims]
-    if jobs > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_scan_entry, args))
-    else:
-        outcomes = [_scan_entry(a) for a in args]
+    outcomes = _map(_scan_entry, [(excl, d) for d in dims], jobs)
     perfect, failures = [], []
     for d, ok in zip(dims, outcomes):
         (perfect if ok else failures).append(d)
     D = None
     if d_max >= bound:
-        assert all(d < bound for d in failures), "failure beyond the certified tail"
+        if any(d >= bound for d in failures):
+            raise RuntimeError("failure beyond the certified tail")
         D = (max(failures) + 1) if failures else 1
     return ScanResult(excl, d_max, bound, tuple(perfect), tuple(failures), D)
 
@@ -309,6 +309,15 @@ class NeighborStats:
         return abs(self.count - self.main_term)
 
 
+def _neighbor_term(v, d: int, count: int) -> NeighborStats:
+    """NeighborStats of a shortest vector v, with `count` neighbors, of a
+    rank-d L-family lattice."""
+    i, alpha, beta = pattern_decompose(v)
+    gamma = Fraction(2 * (i + alpha) + beta, 2 * (d + 1))
+    delta = Fraction(2 * alpha + beta, d + 1)
+    return NeighborStats(count, gamma, delta, 2 * d * (min(gamma, 1 - gamma) + 2 - delta))
+
+
 def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> NeighborStats:
     """Exact neighbor count of a shortest vector against the formula term.
 
@@ -317,8 +326,6 @@ def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> Neig
     pattern decomposition of v, and the main term is 2d(min(gamma, 1-gamma)
     + 2 - delta).
     """
-    i, alpha, beta = pattern_decompose(v)
-    d = lat.rank
     if mvs is None:
         mvs = lattice.vectors_of_norm(lat, 4)
     vmap = {j: x for j, x in enumerate(sign_canonical(v)) if x}
@@ -327,10 +334,7 @@ def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> Neig
         s = sum(vmap.get(j, 0) * x for j, x in enumerate(w) if x)
         if s == 2 or s == -2:
             count += 1
-    gamma = Fraction(2 * (i + alpha) + beta, 2 * (d + 1))
-    delta = Fraction(2 * alpha + beta, d + 1)
-    main = 2 * d * (min(gamma, 1 - gamma) + 2 - delta)
-    return NeighborStats(count, gamma, delta, main)
+    return _neighbor_term(v, lat.rank, count)
 
 
 def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
@@ -341,9 +345,8 @@ def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
     for idx, wmap in enumerate(sparse):
         for j in wmap:
             by_coord.setdefault(j, []).append(idx)
-    d = lat.rank
     out = []
-    for vmap in sparse:
+    for v, vmap in zip(mvs.vectors, sparse):
         candidates = set()
         for j in vmap:
             candidates.update(by_coord[j])
@@ -352,14 +355,7 @@ def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
             s = sum(vmap.get(j, 0) * x for j, x in sparse[idx].items())
             if s == 2 or s == -2:
                 count += 1
-        vec = [0] * lat.ambient_dim
-        for j, x in vmap.items():
-            vec[j] = x
-        i, alpha, beta = pattern_decompose(vec)
-        gamma = Fraction(2 * (i + alpha) + beta, 2 * (d + 1))
-        delta = Fraction(2 * alpha + beta, d + 1)
-        main = 2 * d * (min(gamma, 1 - gamma) + 2 - delta)
-        out.append(NeighborStats(count, gamma, delta, main))
+        out.append(_neighbor_term(v, lat.rank, count))
     return out
 
 
@@ -447,7 +443,8 @@ def _poly_divide_linear(coeffs, root: int) -> list[int]:
     out = [coeffs[0]]
     for c in coeffs[1:-1]:
         out.append(c + root * out[-1])
-    assert coeffs[-1] + root * out[-1] == 0
+    if coeffs[-1] + root * out[-1]:
+        raise ArithmeticError("synthetic division left a remainder")
     return out
 
 

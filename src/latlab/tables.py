@@ -9,11 +9,11 @@ shortest-vector counts for the power-sum kernels of orders two and three.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import families, perfection
 from .families import FamilySpec
+from .perfection import _map
 
 # (excl, det, pd, mp) per row.
 _EXCLUSION_TABLES = {
@@ -140,7 +140,8 @@ def _exclusion_row(args) -> tuple[str, int, int, int]:
 
 def _scan_row(a1: int) -> tuple[str, int]:
     result = perfection.scan_D((a1,), 15)
-    assert result.D is not None
+    if result.D is None:
+        raise RuntimeError(f"D({a1}) left unresolved by a scan to the tail bound")
     return str(a1), result.D
 
 
@@ -149,13 +150,6 @@ def _craig_row(args) -> tuple[str, int, int]:
     closed = families.craig_count_k2_closed(q) if k == 2 else families.craig_count_k3_closed(q)
     histogram = families.craig_pair_count(q, k)
     return str(q), closed, histogram
-
-
-def _map(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def run_table(table_id: str, jobs: int = 1) -> TableReport:

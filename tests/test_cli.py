@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latlab.cli import main
 
 
@@ -171,6 +173,33 @@ def test_repeat_runs_byte_identical(capsys):
 def test_bad_jobs_value(capsys):
     code, _, err = run_cli(capsys, "--jobs", "0", "build", "Ld:7")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-D", "--excl", "a"),
+    ("graph", "Ld:5", "--base-vector", "1,a"),
+    ("minvec", "Ld:5", "--norm", "0"),
+    ("--norm-cap", "0", "analyze", "Ld:5"),
+    ("craig", "--q", "6", "--k", "2"),
+    ("craig", "--q", "9", "--k", "3"),  # formula outside the theorem
+])
+def test_malformed_values_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_option_placement(capsys):
+    code, front, _ = run_cli(capsys, "--format", "csv", "table", "L7-single")
+    assert code == 0
+    assert run_cli(capsys, "table", "L7-single", "--format", "csv")[:2] == (code, front)
+    # given on both sides of the subcommand, the later value wins
+    plain = run_cli(capsys, "build", "Ld:7")
+    assert run_cli(capsys, "--format", "csv", "build", "Ld:7", "--format", "json") == plain
+    assert run_cli(capsys, "--jobs", "0", "build", "Ld:7", "--jobs", "1") == plain
+    code, _, err = run_cli(capsys, "table", "L7-single", "--jobs", "0")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_scan_d_jobs_identical(capsys):

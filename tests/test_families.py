@@ -39,6 +39,13 @@ def test_parse_family_errors():
             parse_family(bad)
 
 
+def test_make_applies_exclusion_rules():
+    # specs built directly skip the parser but not the sign and parity rules
+    for tag, excl in (("Od", (2,)), ("Od", (-1,)), ("Md", (-1,)), ("Ld", (0,))):
+        with pytest.raises(SpecError):
+            make(FamilySpec(tag, d=8, excl=excl))
+
+
 def test_exclusion_window_validation():
     with pytest.raises(SpecError, match="out of index range"):
         parse_family("Ld:7:excl=99")

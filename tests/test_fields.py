@@ -22,6 +22,9 @@ def test_parse_field():
         parse_field("GF(6)")
     with pytest.raises(SpecError):
         parse_field("GF(9;x^2+2x+1)")  # (x+1)^2 is reducible
+    for text in ("GF(1;x)", "GF(0;x)", "GF(1)", "GF(6;x)"):
+        with pytest.raises(SpecError, match="not a prime power"):
+            parse_field(text)
 
 
 def test_builtin_moduli_are_irreducible():

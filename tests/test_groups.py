@@ -6,6 +6,7 @@ from latlab.errors import SpecError
 from latlab.groups import (
     FinAbelianGroup,
     abelian_groups_of_order,
+    factorize,
     is_sidon,
     mod_negation_reps,
     parse_group,
@@ -26,6 +27,18 @@ def test_parse_group_forms():
         parse_group("Z/1")
     with pytest.raises(SpecError):
         parse_group("F4^2")
+
+
+def test_factorize():
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(97) == [(97, 1)]
+    assert factorize(1) == factorize(0) == []
+    for n in range(1, 300):
+        prod = 1
+        for p, e in factorize(n):
+            assert factorize(p) == [(p, 1)] and e >= 1
+            prod *= p**e
+        assert prod == n
 
 
 def test_two_torsion_rank_examples():

@@ -103,17 +103,17 @@ def test_hyperplane_split_checks():
     vecs8 = lattice.vectors_of_norm(lat8, 4).vectors
     w = (1,) + (0,) * 9
     res = hyperplane_split_check(vecs8, w)
-    assert res.hypotheses_hold and res.implies_perfect
+    assert res.hypotheses_hold
 
     lat9 = families.build_family("Od:9")
     vecs9 = lattice.vectors_of_norm(lat9, 4).vectors
     res = hyperplane_split_check(vecs9, (1,) * 10)
-    assert res.hypotheses_hold and res.implies_perfect
+    assert res.hypotheses_hold
 
     lat6 = families.build_family("Ld:6")
     vecs6 = lattice.vectors_of_norm(lat6, 4).vectors
     res = hyperplane_split_check(vecs6, (1,) + (0,) * 7)
-    assert not res.implies_perfect
+    assert not res.hypotheses_hold
 
 
 def test_hyperplane_split_soundness_sweep():
