@@ -272,7 +272,8 @@ def main(argv=None) -> int:
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
                        if hasattr(args, f.name)})
     for flag, value in (("--jobs", cfg.jobs), ("--norm-cap", cfg.norm_cap),
-                        ("--norm", getattr(args, "norm", None))):
+                        ("--norm", getattr(args, "norm", None)),
+                        ("--k", getattr(args, "k", None))):
         if value is not None and value < 1:
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return EXIT_USAGE

@@ -268,9 +268,7 @@ def make(spec: FamilySpec) -> ConstraintSystem:
         rows = _group_rows(group, coords)
         return ConstraintSystem(tuple("".join(map(str, a)) for a in coords), tuple(rows))
     if tag == "Craig":
-        field = field_for_order(spec.q)
-        if spec.k >= field.p:
-            raise ConstructionError("k must be smaller than the field characteristic")
+        field = _craig_field(spec.q, spec.k)
         elems = field.elements()
         n = len(elems)
         rows: list[tuple[tuple[int, ...], int]] = [((1,) * n, 0)]
@@ -400,12 +398,20 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _craig_field(q_or_field: int | FiniteField, k: int) -> FiniteField:
+    """The field of a power-sum kernel of order k, which must lie below its
+    characteristic."""
+    field = q_or_field if isinstance(q_or_field, FiniteField) else field_for_order(q_or_field)
+    if k >= field.p:
+        raise ConstructionError("k must be smaller than the field characteristic")
+    return field
+
+
 def craig_pair_count(q_or_field: int | FiniteField, k: int) -> int:
     """Pairs of norm-2(k+1) vectors, summed from the distinct-root histogram."""
     from .fields import distinct_root_histogram
 
-    field = q_or_field if isinstance(q_or_field, FiniteField) else field_for_order(q_or_field)
-    hist = distinct_root_histogram(field, k)
+    hist = distinct_root_histogram(_craig_field(q_or_field, k), k)
     return sum(n * (n - 1) // 2 for n in hist.values())
 
 

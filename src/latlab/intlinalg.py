@@ -7,12 +7,15 @@ The module provides the primitives the rest of the package is built on:
 * ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests),
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
 * ``rank`` / ``bareiss_det`` / ``gram_det`` - fraction-free Bareiss elimination,
+* ``certified_rank`` - ranks certified by one elimination modulo a prime,
+* ``sym_power_rows`` - symmetric-power flattenings of vectors,
 * ``char_poly`` - Faddeev-LeVerrier characteristic polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import prod
 
 Matrix = list[list[int]]
 
@@ -124,34 +127,19 @@ def integer_kernel(A) -> Matrix:
     return [row[nrows:] for row in H if not any(row[:nrows])]
 
 
-@dataclass(frozen=True)
-class KernelProblem:
-    """Integer congruence system: rows (weights, modulus), modulus 0 meaning
-    equality over the integers."""
-
-    ambient_dim: int
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self):
-        for weights, modulus in self.rows:
-            if len(weights) != self.ambient_dim:
-                raise ValueError("weight vector length does not match ambient dimension")
-            if modulus < 0:
-                raise ValueError("modulus must be nonnegative")
-
-
-def kernel_basis(problem: KernelProblem) -> Matrix:
+def kernel_basis(n: int, rows) -> Matrix:
     """Canonical (HNF) basis of {v in Z^n : <w_i, v> = 0 mod m_i for all i}.
 
-    Congruence rows get an auxiliary integer unknown each, so a single
-    integer-kernel computation covers both exact and modular constraints.
+    The rows are pairs (w_i, m_i) of a length-n weight vector and a modulus
+    m_i >= 0, where 0 means equality over the integers.  Congruence rows get
+    an auxiliary integer unknown each, so a single integer-kernel
+    computation covers both exact and modular constraints.
     """
-    n = problem.ambient_dim
-    mod_slots = [i for i, (_, m) in enumerate(problem.rows) if m > 0]
+    mod_slots = [i for i, (_, m) in enumerate(rows) if m > 0]
     slot_of = {i: s for s, i in enumerate(mod_slots)}
     s = len(mod_slots)
     A = []
-    for i, (weights, modulus) in enumerate(problem.rows):
+    for i, (weights, modulus) in enumerate(rows):
         aux = [0] * s
         if modulus > 0:
             aux[slot_of[i]] = -modulus
@@ -166,12 +154,19 @@ def kernel_basis(problem: KernelProblem) -> Matrix:
     return basis
 
 
-def rank(M) -> int:
-    """Exact rank over the rationals by fraction-free Bareiss elimination."""
+def _bareiss(M) -> tuple[int, int, int]:
+    """Fraction-free Bareiss elimination (Bareiss 1968) on a copy of M.
+
+    Returns (rank, swap_sign, last_pivot): the rank over the rationals, the
+    sign of the row swaps made, and the last pivot.  Every division is exact
+    by Sylvester's identity.  For a nonsingular square matrix the last pivot
+    is swap_sign * det.
+    """
     A = [list(row) for row in M]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         if r == nrows:
@@ -181,6 +176,7 @@ def rank(M) -> int:
             continue
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
+            sign = -sign
         Ar = A[r]
         p = Ar[c]
         for i in range(r + 1, nrows):
@@ -189,7 +185,12 @@ def rank(M) -> int:
             A[i] = [(p * a - q * b) // prev for a, b in zip(Ai, Ar)]
         prev = p
         r += 1
-    return r
+    return r, sign, prev
+
+
+def rank(M) -> int:
+    """Exact rank over the rationals by fraction-free Bareiss elimination."""
+    return _bareiss(M)[0]
 
 
 def bareiss_det(M) -> int:
@@ -198,26 +199,59 @@ def bareiss_det(M) -> int:
     for row in M:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    A = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if A[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            sign = -sign
-        Ac = A[c]
-        p = Ac[c]
-        for i in range(c + 1, n):
-            Ai = A[i]
-            q = Ai[c]
-            A[i] = [(p * a - q * b) // prev for a, b in zip(Ai, Ac)]
-        prev = p
-    return sign * A[n - 1][n - 1]
+    r, sign, last = _bareiss(M)
+    return sign * last if r == n else 0
+
+
+_CERT_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_p(rows, cap: int) -> int:
+    """Rank of the rows mod _CERT_PRIME (a lower bound for the rank over Q),
+    stopping early once cap is reached."""
+    p = _CERT_PRIME
+    pivots: list[tuple[int, list[int]]] = []
+    r = 0
+    for row in rows:
+        v = [x % p for x in row]
+        for col, prow in pivots:
+            f = v[col]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, prow)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, p)
+        pivots.append((col, [(a * inv) % p for a in v]))
+        r += 1
+        if r == cap:
+            break
+    return r
+
+
+def certified_rank(rows, cap: int) -> int:
+    """Exact rank over Q of rows known to have rank <= cap.
+
+    The rank modulo a prime never exceeds the rank over Q, which never
+    exceeds the cap, so a single elimination modulo a fixed 61-bit prime
+    certifies the rank whenever the modular rank reaches the cap.  Otherwise
+    fraction-free Bareiss elimination settles the value.  The result is
+    exact either way; the modular pass only short-circuits the common
+    full-rank case.
+    """
+    if not rows:
+        return 0
+    if _rank_mod_p(rows, cap) == cap:
+        return cap
+    return rank(rows)
+
+
+def sym_power_rows(vectors, k: int) -> Matrix:
+    """Degree-k symmetric-power flattenings: the row of a vector v lists
+    every degree-k monomial evaluated at v, in the order of
+    combinations_with_replacement over the coordinates (for k = 2, the upper
+    triangle of v v^t row by row)."""
+    return [list(map(prod, combinations_with_replacement(v, k))) for v in vectors]
 
 
 def gram_det(B) -> int:

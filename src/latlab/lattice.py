@@ -42,9 +42,6 @@ class ConstraintSystem:
     def ambient_dim(self) -> int:
         return len(self.labels)
 
-    def kernel_problem(self) -> intlinalg.KernelProblem:
-        return intlinalg.KernelProblem(self.ambient_dim, self.rows)
-
     def satisfied_by(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
@@ -73,7 +70,7 @@ class Lattice:
 
 def build(cs: ConstraintSystem) -> Lattice:
     """Construct the lattice of all integer vectors satisfying cs."""
-    basis = intlinalg.kernel_basis(cs.kernel_problem())
+    basis = intlinalg.kernel_basis(cs.ambient_dim, cs.rows)
     if not basis:
         raise ConstructionError("trivial lattice")
     gram = intlinalg.gram_matrix(basis)

@@ -6,21 +6,13 @@ computes that rank exactly, derives perfection defaults, k-th power rank
 series, the hyperplane-splitting sufficient condition, perfection threshold
 scans over excluded indices, neighbor-count statistics of shortest vectors,
 and scalar-product graphs (degree profiles, strongly regular parameters,
-exact spectra).
-
-Rank strategy: ranks over Q are certified by a single modular elimination
-whenever the modular rank hits the theoretical cap (the rank can never
-exceed the cap and never drops mod p unless p divides all top minors);
-otherwise the exact fraction-free elimination settles the value.  Results
-are exact either way; the modular pass only short-circuits the common
-perfect case.
+exact spectra).  Every rank comes from ``intlinalg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, gcd
 
 from . import families, intlinalg, lattice
@@ -28,42 +20,11 @@ from .errors import ConstructionError
 from .families import FamilySpec
 from .lattice import Lattice, MinimalVectorSet, sign_canonical
 
-_CERT_PRIME = (1 << 61) - 1
 
-
-def _rank_mod_p(rows, cap: int | None = None, p: int = _CERT_PRIME) -> int:
-    """Rank of the rows mod p (a lower bound for the rank over Q),
-    stopping early once cap is reached."""
-    pivots: list[tuple[int, list[int]]] = []
-    rank = 0
-    for row in rows:
-        r = [x % p for x in row]
-        for col, prow in pivots:
-            f = r[col]
-            if f:
-                r = [(a - f * b) % p for a, b in zip(r, prow)]
-        col = next((j for j, x in enumerate(r) if x), None)
-        if col is None:
-            continue
-        inv = pow(r[col], -1, p)
-        pivots.append((col, [(a * inv) % p for a in r]))
-        rank += 1
-        if cap is not None and rank == cap:
-            break
-    return rank
-
-
-def _certified_rank(rows, cap: int) -> int:
-    """Exact rank over Q of rows known to have rank <= cap."""
-    if not rows:
-        return 0
-    if _rank_mod_p(rows, cap) == cap:
-        return cap
-    return intlinalg.rank(rows)
-
-
-def _sym2_row(v) -> list[int]:
-    return [v[i] * v[j] for i in range(len(v)) for j in range(i, len(v))]
+def _sym_power_rank(vecs, k: int, span: int) -> int:
+    """Rank of the degree-k symmetric-power flattenings of vectors whose
+    linear span has dimension span, which caps it at comb(span + k - 1, k)."""
+    return intlinalg.certified_rank(intlinalg.sym_power_rows(vecs, k), comb(span + k - 1, k))
 
 
 def sym_square_rank(vectors) -> int:
@@ -72,12 +33,10 @@ def sym_square_rank(vectors) -> int:
     Rows are the upper-triangle flattenings with raw products v_i v_j; the
     rank over Q does not depend on that choice of weighting.
     """
-    vecs = [list(v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         raise ValueError("need at least one vector")
-    span = intlinalg.rank(vecs)
-    cap = comb(span + 1, 2)
-    return _certified_rank([_sym2_row(v) for v in vecs], cap)
+    return _sym_power_rank(vecs, 2, intlinalg.rank(vecs))
 
 
 @dataclass(frozen=True)
@@ -156,22 +115,11 @@ def alpha_series(vectors, kmax: int, budget: int = 200_000) -> AlphaSeries:
         raise ValueError("need vectors and kmax >= 1")
     n = len(vecs[0])
     dims = [1]
-    span = intlinalg.rank([list(v) for v in vecs])
+    span = intlinalg.rank(vecs)
     for k in range(1, kmax + 1):
-        ncols = comb(n + k - 1, k)
-        if ncols > budget:
+        if comb(n + k - 1, k) > budget:
             raise ValueError("symmetric power budget exceeded")
-        monomials = list(combinations_with_replacement(range(n), k))
-        rows = []
-        for v in vecs:
-            row = []
-            for mono in monomials:
-                prod = 1
-                for i in mono:
-                    prod *= v[i]
-                row.append(prod)
-            rows.append(row)
-        dims.append(_certified_rank(rows, comb(span + k - 1, k)))
+        dims.append(_sym_power_rank(vecs, k, span))
     return AlphaSeries(tuple(dims), stabilized=dims[-1] == _distinct_line_count(vecs))
 
 

@@ -156,36 +156,27 @@ def run_table(table_id: str, jobs: int = 1) -> TableReport:
     """Recompute one reference table and diff it against the stored values."""
     if table_id in _EXCLUSION_TABLES:
         tag, d, golden = _EXCLUSION_TABLES[table_id]
-        args = [(tag, d, excl) for excl, *_ in golden]
-        computed = _map(_exclusion_row, args, jobs)
-        rows, diffs = [], []
-        for (excl, gdet, gpd, gmp), (label, det, pd, mp) in zip(golden, computed):
-            rows.append((label, str(det), str(pd), str(mp)))
-            for field, got, expected in (("det", det, gdet), ("pd", pd, gpd), ("mp", mp, gmp)):
-                if got != expected:
-                    diffs.append(TableDiff(label, field, str(expected), str(got)))
-        return TableReport(table_id, tuple(rows), ("lattice", "det", "pd", "mp"), tuple(diffs))
+        task, args = _exclusion_row, [(tag, d, excl) for excl, *_ in golden]
+        header, expected = ("lattice", "det", "pd", "mp"), [g[1:] for g in golden]
+    elif table_id == "D-scan-k1":
+        task, args = _scan_row, [a1 for a1, _ in _D_SCAN_K1]
+        header, expected = ("a_1", "D"), [g[1:] for g in _D_SCAN_K1]
+    elif table_id in _CRAIG_TABLES:
+        k, golden = _CRAIG_TABLES[table_id]
+        task, args = _craig_row, [(q, k) for q, _ in golden]
+        header, expected = ("q", "closed_form", "histogram"), [(v, v) for _, v in golden]
+    else:
+        raise KeyError(table_id)
+    computed = _map(task, args, jobs)
+    rows, diffs = [], []
+    for want, (label, *got) in zip(expected, computed):
+        rows.append((label, *map(str, got)))
+        for field, e, g in zip(header[1:], want, got):
+            if e != g:
+                diffs.append(TableDiff(label, field, str(e), str(g)))
     if table_id == "D-scan-k1":
-        computed = _map(_scan_row, [a1 for a1, _ in _D_SCAN_K1], jobs)
-        rows, diffs = [], []
-        for (a1, gD), (label, D) in zip(_D_SCAN_K1, computed):
-            rows.append((label, str(D)))
-            if D != gD:
-                diffs.append(TableDiff(label, "D", str(gD), str(D)))
         d1 = max(D for _, D in computed)
         rows.append(("d_1", str(d1)))
         if d1 != 9:
             diffs.append(TableDiff("d_1", "value", "9", str(d1)))
-        return TableReport(table_id, tuple(rows), ("a_1", "D"), tuple(diffs))
-    if table_id in _CRAIG_TABLES:
-        k, golden = _CRAIG_TABLES[table_id]
-        computed = _map(_craig_row, [(q, k) for q, _ in golden], jobs)
-        rows, diffs = [], []
-        for (q, gval), (label, closed, histogram) in zip(golden, computed):
-            rows.append((label, str(closed), str(histogram)))
-            if closed != gval:
-                diffs.append(TableDiff(label, "closed_form", str(gval), str(closed)))
-            if histogram != gval:
-                diffs.append(TableDiff(label, "histogram", str(gval), str(histogram)))
-        return TableReport(table_id, tuple(rows), ("q", "closed_form", "histogram"), tuple(diffs))
-    raise KeyError(table_id)
+    return TableReport(table_id, tuple(rows), header, tuple(diffs))

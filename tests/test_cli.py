@@ -43,6 +43,13 @@ def test_construction_error_exits_3(capsys):
     assert "characteristic" in err
 
 
+def test_craig_histogram_construction_error_exits_3(capsys):
+    code, out, err = run_cli(capsys, "craig", "--q", "4", "--k", "2", "--method", "histogram")
+    assert code == 3
+    assert out == ""
+    assert "characteristic" in err and "Traceback" not in err
+
+
 def test_analyze_la_z7(capsys):
     code, out, _ = run_cli(capsys, "analyze", "LA:Z/7")
     assert code == 0
@@ -182,6 +189,8 @@ def test_bad_jobs_value(capsys):
     ("--norm-cap", "0", "analyze", "Ld:5"),
     ("craig", "--q", "6", "--k", "2"),
     ("craig", "--q", "9", "--k", "3"),  # formula outside the theorem
+    ("craig", "--q", "7", "--k", "0"),
+    ("craig", "--q", "7", "--k", "-1", "--method", "histogram"),
 ])
 def test_malformed_values_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,0 +1,104 @@
+"""Byte-identity of the CLI over a fixed corpus of invocations.
+
+``cli_corpus.json`` maps each argv to the exit code and the SHA-256 of the
+stdout that ``latlab.cli.main`` gave when the corpus was recorded.  A change
+that is meant to leave every output alone must keep all of them.  The corpus
+covers the README CLI examples in json and csv at ``--jobs 1`` and
+``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
+methods, and one build/analyze/minvec/verify per family tag.
+
+A change that alters an output on purpose re-records the file with
+``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` and says so in
+its changelog entry.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+CORPUS = os.path.join(os.path.dirname(__file__), "cli_corpus.json")
+
+_README = (
+    ("build", "Ld:7"),
+    ("analyze", "LA:Z/7"),
+    ("minvec", "Ld:6", "--norm", "4"),
+    ("verify", "Craig:q=11,k=2"),
+    ("table", "L8-single"),
+    ("scan-D", "--excl", "6", "--dmax", "15"),
+    ("graph", "T:3", "--base-vector", "1,1,1,0,0,0,0", "--product", "-1"),
+    ("craig", "--q", "13", "--k", "3", "--method", "histogram"),
+)
+
+_TABLES = ("L7-single", "L8-single", "L8-double", "O8", "O9", "M8", "M9", "D-scan-k1",
+           "craig-k2", "craig-k3")
+
+# (spec, minvec norm) per family tag
+_FAMILIES = (
+    ("Ld:8:excl=2,10", 4),
+    ("Od:8:excl=3", 4),
+    ("Md:8:excl=1", 4),
+    ("LA:Z/3+Z/3", 4),
+    ("LAsub:Z/9:drop=0", 4),
+    ("Mneg:Z/16", 4),
+    ("T:3", 3),
+    ("Craig:q=7,k=2", 6),
+    ("Sidon:Z/7:set=0,1,3", 4),
+    ("SidonInv:q=11", 4),
+)
+
+
+def corpus_argvs() -> list[list[str]]:
+    out = []
+    for fmt in ("json", "csv"):
+        for jobs in ("1", "3"):
+            out += [["--format", fmt, "--jobs", jobs, *cmd] for cmd in _README]
+        # D-scan-k1 is the slowest table; its rows are checked once, in json
+        out += [["--format", fmt, "--jobs", "2", "table", t] for t in _TABLES
+                if fmt == "json" or t != "D-scan-k1"]
+    out += [["craig", "--q", "7", "--k", k, "--method", m]
+            for k, m in (("1", "histogram"), ("2", "formula"), ("2", "enumerate"))]
+    for spec, norm in _FAMILIES:
+        out += [["build", spec], ["analyze", spec],
+                ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
+    return out
+
+
+def run(argv) -> tuple[int, str]:
+    from latlab.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _load() -> list[dict]:
+    if not os.path.exists(CORPUS):
+        return []  # test_corpus_covers_the_argv_list fails
+    with open(CORPUS) as fh:
+        return json.load(fh)
+
+
+def test_corpus_covers_the_argv_list():
+    assert [entry["argv"] for entry in _load()] == corpus_argvs()
+
+
+@pytest.mark.parametrize("entry", _load(), ids=lambda e: " ".join(e["argv"]))
+def test_cli_output_unchanged(entry):
+    assert run(entry["argv"]) == (entry["exit"], entry["stdout_sha256"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_cli_corpus.py --record")
+    entries = []
+    for argv in corpus_argvs():
+        code, digest = run(argv)
+        entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+    with open(CORPUS, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")

@@ -1,12 +1,15 @@
 import random
+from itertools import permutations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latlab import intlinalg
 from latlab.intlinalg import (
-    KernelProblem,
+    bareiss_det,
+    certified_rank,
     char_poly,
     format_matrix,
     gram_det,
@@ -54,6 +57,52 @@ def test_hnf_idempotent_and_span_preserving(M):
 @given(small_matrix)
 def test_rank_equals_rank_of_transpose(M):
     assert rank(M) == rank(transpose(M))
+
+
+def _square(M):
+    k = min(len(M), len(M[0]))
+    return [row[:k] for row in M[:k]]
+
+
+square_matrix = small_matrix.map(_square)
+# the last row is the sum of the others
+singular_matrix = square_matrix.filter(lambda M: len(M) > 1).map(
+    lambda M: M[:-1] + [[sum(col) for col in zip(*M[:-1])]])
+
+
+def _leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square_matrix, singular_matrix))
+@example([[0, 1], [1, 0]])  # one row swap
+@example([[0, 0, 2], [3, 0, 0], [0, 5, 1]])  # two row swaps
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])  # singular, a pivot column skipped
+def test_bareiss_det_matches_leibniz(M):
+    assert bareiss_det(M) == _leibniz_det(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrix)
+def test_certified_rank_matches_bareiss_rank(M):
+    r = rank(M)
+    with mock.patch.object(intlinalg, "rank", wraps=intlinalg.rank) as fallback:
+        # every minor is far below the prime, so a cap equal to the rank is
+        # certified by the modular pass alone
+        assert certified_rank(M, r) == r
+        assert fallback.call_count == 0
+        # the modular rank cannot reach a cap above the rank, so Bareiss decides
+        assert certified_rank(M, r + 1) == r
+        assert fallback.call_count == 1
 
 
 def test_rank_examples():
@@ -116,29 +165,28 @@ def test_cayley_hamilton_size_ten():
 
 
 def test_kernel_sum_zero():
-    basis = kernel_basis(KernelProblem(3, ((((1, 1, 1)), 0),)))
+    basis = kernel_basis(3, ((((1, 1, 1)), 0),))
     assert len(basis) == 2
     for row in basis:
         assert sum(row) == 0
 
 
 def test_kernel_two_z_squared():
-    basis = kernel_basis(KernelProblem(2, (((1, 0), 2), ((0, 1), 2))))
+    basis = kernel_basis(2, (((1, 0), 2), ((0, 1), 2)))
     assert len(basis) == 2
     assert gram_det(basis) == 16
 
 
 def test_kernel_rank7_example():
     rows = (((1,) * 9, 0), (tuple(range(1, 10)), 0))
-    basis = kernel_basis(KernelProblem(9, rows))
+    basis = kernel_basis(9, rows)
     assert len(basis) == 7
     assert gram_det(basis) == 540
 
 
 def test_kernel_box_completeness():
     # every small integer vector satisfying the congruences lies in the span
-    problem = KernelProblem(3, (((1, 2, 3), 0), ((1, 0, 1), 2)))
-    basis = kernel_basis(problem)
+    basis = kernel_basis(3, (((1, 2, 3), 0), ((1, 0, 1), 2)))
     H = hnf(basis)
     for a in range(-3, 4):
         for b in range(-3, 4):
@@ -149,7 +197,7 @@ def test_kernel_box_completeness():
 
 
 def test_kernel_no_rows_is_identity():
-    assert kernel_basis(KernelProblem(3, ())) == identity(3)
+    assert kernel_basis(3, ()) == identity(3)
 
 
 def test_gram_matrix_values():

@@ -40,7 +40,7 @@ def test_certified_rank_matches_bareiss():
     # the modular certificate must agree with plain fraction-free elimination
     for spec in ("Ld:6", "Ld:7", "Od:7", "LA:Z/8", "Md:7"):
         vecs = lattice.vectors_of_norm(families.build_family(spec), 4).vectors
-        rows = [perfection._sym2_row(v) for v in vecs]
+        rows = intlinalg.sym_power_rows(vecs, 2)
         assert sym_square_rank(vecs) == intlinalg.rank(rows), spec
 
 
