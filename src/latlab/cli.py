@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from . import families, lattice, perfection, tables
@@ -29,10 +30,10 @@ EXIT_CONSTRUCTION = 3
 
 
 def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("LATLAB_JOBS", "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get("LATLAB_JOBS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise SpecError(f"LATLAB_JOBS must be an integer of at least 1, not {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,20 @@ class RunConfig:
     norm_cap: int = 12
 
 
+def _decimal(obj):
+    """The JSON form of obj: every int that is not a bool, dict keys
+    included, becomes its decimal string, and every tuple or list a list."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {_decimal(k): _decimal(v) for k, v in obj.items()}
+    return [_decimal(x) for x in obj]
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(_decimal(obj), indent=2))
 
 
 def _emit_csv(header, rows) -> None:
@@ -65,7 +78,10 @@ def _cmd_build(args, cfg: RunConfig) -> int:
         rows += [("basis", *map(str, row)) for row in lat.basis]
         _emit_csv(("field", "values"), rows)
     else:
-        _emit_json(lattice.lattice_to_json(lat, family=str(spec)))
+        cs = lat.constraints
+        _emit_json({"family": str(spec), "labels": cs.labels,
+                    "rows": [{"weights": w, "modulus": m} for w, m in cs.rows],
+                    "rank": lat.rank, "det": lat.det, "basis": lat.basis, "gram": lat.gram})
     return EXIT_OK
 
 
@@ -91,7 +107,7 @@ def _cmd_minvec(args, cfg: RunConfig) -> int:
         _emit_csv(("norm", "count"), [(mvs.norm, mvs.count)])
         _emit_csv(("vector",), [tuple(map(str, v)) for v in mvs.vectors])
     else:
-        _emit_json(lattice.mvs_to_json(mvs))
+        _emit_json({"norm": mvs.norm, "count": mvs.count, "vectors": mvs.vectors})
     return EXIT_OK
 
 
@@ -105,7 +121,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
               report.enumerated_value, str(report.agree).lower())],
         )
     else:
-        _emit_json(report.to_json())
+        _emit_json({**vars(report), "agree": report.agree})
     return EXIT_OK if report.agree else EXIT_MISMATCH
 
 
@@ -119,20 +135,21 @@ def _cmd_table(args, cfg: RunConfig) -> int:
         _emit_csv(("row", "field", "expected", "got"),
                   [(d.row, d.field, d.expected, d.got) for d in report.diffs])
     else:
-        _emit_json(report.to_json())
+        _emit_json({"table": report.table_id, "header": report.header, "rows": report.rows,
+                    "diffs": [vars(d) for d in report.diffs], "ok": report.ok})
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def _cmd_scan_d(args, cfg: RunConfig) -> int:
     excl = families.parse_excl("Ld", args.excl) if args.excl else ()
     result = perfection.scan_D(excl, args.dmax, jobs=cfg.jobs)
+    D = "unresolved" if result.D is None else result.D
     if cfg.format == "csv":
         _emit_csv(("excl", "d_max", "D", "perfect_ds"),
-                  [(args.excl or "-", result.d_max,
-                    "unresolved" if result.D is None else result.D,
-                    " ".join(map(str, result.perfect_ds)))])
+                  [(args.excl or "-", result.d_max, D, " ".join(map(str, result.perfect_ds)))])
     else:
-        _emit_json(result.to_json())
+        _emit_json({"excl": result.excl, "d_max": result.d_max, "tail_bound": result.bound,
+                    "perfect_ds": result.perfect_ds, "failures": result.failures, "D": D})
     return EXIT_OK
 
 
@@ -159,19 +176,11 @@ def _cmd_graph(args, cfg: RunConfig) -> int:
     product = args.product if args.product is not None else (-1 if base else 0)
     graph = perfection.minvec_graph(mvs, product, base_vector=base)
     try:
-        spectrum = {str(root): str(mult) for root, mult in graph.spectrum().items()}
+        spectrum = graph.spectrum()
     except ValueError:
         spectrum = None
-    degrees: dict[str, str] = {}
-    for deg in graph.degrees():
-        degrees[str(deg)] = str(int(degrees.get(str(deg), "0")) + 1)
-    srg = graph.srg_parameters()
-    info = {
-        "vertices": str(graph.order),
-        "degrees": dict(sorted(degrees.items(), key=lambda kv: int(kv[0]))),
-        "spectrum": spectrum,
-        "srg": None if srg is None else [str(x) for x in srg],
-    }
+    info = {"vertices": graph.order, "degrees": dict(sorted(Counter(graph.degrees()).items())),
+            "spectrum": spectrum, "srg": graph.srg_parameters()}
     print(format_matrix([list(r) for r in graph.adjacency]), end="")
     _emit_json(info)
     return EXIT_OK
@@ -195,7 +204,7 @@ def _cmd_craig(args, cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit_csv(("q", "k", "method", "value"), [(q, k, args.method, value)])
     else:
-        _emit_json({"q": str(q), "k": str(k), "method": args.method, "value": str(value)})
+        _emit_json({"q": q, "k": k, "method": args.method, "value": value})
     return EXIT_OK
 
 
@@ -269,15 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                       if hasattr(args, f.name)})
-    for flag, value in (("--jobs", cfg.jobs), ("--norm-cap", cfg.norm_cap),
-                        ("--norm", getattr(args, "norm", None)),
-                        ("--k", getattr(args, "k", None))):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        # an explicit --jobs keeps LATLAB_JOBS from being read at all
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                           if hasattr(args, f.name)})
+        for flag, value in (("--jobs", cfg.jobs), ("--norm-cap", cfg.norm_cap),
+                            ("--norm", getattr(args, "norm", None)),
+                            ("--k", getattr(args, "k", None))):
+            if value is not None and value < 1:
+                print(f"error: {flag} must be at least 1", file=sys.stderr)
+                return EXIT_USAGE
         return args.func(args, cfg)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,22 +37,22 @@ class FamilySpec:
     subset: tuple[tuple[int, ...], ...] | None = None
 
     def params_json(self) -> dict:
-        """The populated parameters with every integer as a decimal string."""
+        """The populated parameters, group elements as their labels."""
         out: dict = {"tag": self.tag}
         if self.d is not None:
-            out["d"] = str(self.d)
+            out["d"] = self.d
         if self.excl:
-            out["excl"] = [str(a) for a in self.excl]
+            out["excl"] = self.excl
         if self.group is not None:
             out["group"] = str(self.group)
         if self.drop is not None:
             out["drop"] = self.group.label(self.drop)
         if self.c is not None:
-            out["c"] = str(self.c)
+            out["c"] = self.c
         if self.q is not None:
-            out["q"] = str(self.q)
+            out["q"] = self.q
         if self.k is not None:
-            out["k"] = str(self.k)
+            out["k"] = self.k
         if self.subset is not None:
             out["set"] = [self.group.label(a) for a in self.subset]
         return out
@@ -457,15 +457,6 @@ class FormulaReport:
     @property
     def agree(self) -> bool:
         return self.formula_value == self.enumerated_value
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "quantity": self.quantity,
-            "formula_value": str(self.formula_value),
-            "enumerated_value": str(self.enumerated_value),
-            "agree": self.agree,
-        }
 
 
 def verify_formula(spec: FamilySpec) -> FormulaReport:

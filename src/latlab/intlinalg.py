@@ -24,10 +24,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(M) -> Matrix:
-    return [list(col) for col in zip(*M)] if M else []
-
-
 def mat_mul(A, B) -> Matrix:
     cols = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
@@ -92,27 +88,6 @@ def hnf(M) -> Matrix:
 
 def nonzero_rows(M) -> Matrix:
     return [list(row) for row in M if any(row)]
-
-
-def in_row_span_hnf(H, v) -> bool:
-    """Membership of v in the integer row span of an HNF matrix H."""
-    w = list(v)
-    pivots = {}
-    for row in H:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            pivots[c] = row
-    for c in range(len(w)):
-        x = w[c]
-        if not x:
-            continue
-        row = pivots.get(c)
-        if row is None or x % row[c]:
-            return False
-        q = x // row[c]
-        for j in range(c, len(w)):
-            w[j] -= q * row[j]
-    return not any(w)
 
 
 def integer_kernel(A) -> Matrix:
@@ -287,37 +262,6 @@ def char_poly(M) -> list[int]:
             Mk[i][i] += ck
         Mk = mat_mul(M, Mk)
     return coeffs
-
-
-def poly_eval_matrix(coeffs, M) -> Matrix:
-    """Evaluate a polynomial (coefficients highest first) at a square matrix."""
-    n = len(M)
-    acc = [[0] * n for _ in range(n)]
-    for c in coeffs:
-        acc = mat_mul(acc, M)
-        for i in range(n):
-            acc[i][i] += c
-    return acc
-
-
-def parse_matrix(text: str) -> Matrix:
-    """Parse the matrix text format: "rows cols" header, then integer rows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("matrix header must be 'rows cols'")
-    nrows, ncols = int(header[0]), int(header[1])
-    if len(lines) != nrows + 1:
-        raise ValueError(f"expected {nrows} rows, got {len(lines) - 1}")
-    M = []
-    for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
-        if len(row) != ncols:
-            raise ValueError("ragged row in matrix text")
-        M.append(row)
-    return M
 
 
 def format_matrix(M) -> str:

@@ -273,30 +273,3 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
 
     descend(d - 1, Fraction(0))
     return {m: MinimalVectorSet(m, tuple(sorted(vs))) for m, vs in buckets.items()}
-
-
-def lattice_to_json(lat: Lattice, family: str | None = None) -> dict:
-    """JSON-ready dict with every integer rendered as a decimal string."""
-    out: dict = {}
-    if family is not None:
-        out["family"] = family
-    out.update({
-        "labels": list(lat.constraints.labels),
-        "rows": [
-            {"weights": [str(w) for w in weights], "modulus": str(mod)}
-            for weights, mod in lat.constraints.rows
-        ],
-        "rank": str(lat.rank),
-        "det": str(lat.det),
-        "basis": [[str(x) for x in row] for row in lat.basis],
-        "gram": [[str(x) for x in row] for row in lat.gram],
-    })
-    return out
-
-
-def mvs_to_json(mvs: MinimalVectorSet) -> dict:
-    return {
-        "norm": str(mvs.norm),
-        "count": str(mvs.count),
-        "vectors": [[str(x) for x in v] for v in mvs.vectors],
-    }

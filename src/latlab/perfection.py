@@ -169,16 +169,6 @@ class ScanResult:
     def certified(self) -> bool:
         return self.D is not None
 
-    def to_json(self) -> dict:
-        return {
-            "excl": [str(a) for a in self.excl],
-            "d_max": str(self.d_max),
-            "tail_bound": str(self.bound),
-            "perfect_ds": [str(d) for d in self.perfect_ds],
-            "failures": [str(d) for d in self.failures],
-            "D": "unresolved" if self.D is None else str(self.D),
-        }
-
 
 def _map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], spread over `jobs` worker processes."""
@@ -193,10 +183,10 @@ def _map(fn, items, jobs: int) -> list:
 def _scan_entry(args) -> bool:
     excl, d = args
     lat = families.build_family(FamilySpec("Ld", d=d, excl=excl))
-    found = lattice.minimum(lat, 4)
-    if found is None or found[0] != 4:
-        return False
-    return sym_square_rank(found[1].vectors) == comb(d + 1, 2)
+    # no Ld lattice has vectors of norm 1-3: the all-ones row makes an odd
+    # norm impossible, and e_i - e_j would need two equal window coefficients
+    mvs = lattice.vectors_of_norm(lat, 4)
+    return bool(mvs.vectors) and sym_square_rank(mvs.vectors) == comb(d + 1, 2)
 
 
 def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:
@@ -266,6 +256,32 @@ def _neighbor_term(v, d: int, count: int) -> NeighborStats:
     return NeighborStats(count, gamma, delta, 2 * d * (min(gamma, 1 - gamma) + 2 - delta))
 
 
+def _neighbor_counts(targets, vectors) -> list[int]:
+    """For each target v, the number of vectors w with <v, w> = +-2.
+
+    Such a w shares a support coordinate with v, so only the vectors indexed
+    under the coordinates of v are scanned.
+    """
+    sparse = [{j: x for j, x in enumerate(w) if x} for w in vectors]
+    by_coord: dict[int, list[int]] = {}
+    for idx, wmap in enumerate(sparse):
+        for j in wmap:
+            by_coord.setdefault(j, []).append(idx)
+    counts = []
+    for v in targets:
+        vmap = {j: x for j, x in enumerate(v) if x}
+        candidates = set()
+        for j in vmap:
+            candidates.update(by_coord.get(j, ()))
+        count = 0
+        for idx in candidates:
+            s = sum(vmap.get(j, 0) * x for j, x in sparse[idx].items())
+            if s == 2 or s == -2:
+                count += 1
+        counts.append(count)
+    return counts
+
+
 def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> NeighborStats:
     """Exact neighbor count of a shortest vector against the formula term.
 
@@ -276,35 +292,14 @@ def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> Neig
     """
     if mvs is None:
         mvs = lattice.vectors_of_norm(lat, 4)
-    vmap = {j: x for j, x in enumerate(sign_canonical(v)) if x}
-    count = 0
-    for w in mvs.vectors:
-        s = sum(vmap.get(j, 0) * x for j, x in enumerate(w) if x)
-        if s == 2 or s == -2:
-            count += 1
-    return _neighbor_term(v, lat.rank, count)
+    return _neighbor_term(v, lat.rank, _neighbor_counts([v], mvs.vectors)[0])
 
 
 def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
     """Neighbor statistics for every shortest vector of an L-family lattice."""
     mvs = lattice.vectors_of_norm(lat, 4)
-    sparse = [{j: x for j, x in enumerate(w) if x} for w in mvs.vectors]
-    by_coord: dict[int, list[int]] = {}
-    for idx, wmap in enumerate(sparse):
-        for j in wmap:
-            by_coord.setdefault(j, []).append(idx)
-    out = []
-    for v, vmap in zip(mvs.vectors, sparse):
-        candidates = set()
-        for j in vmap:
-            candidates.update(by_coord[j])
-        count = 0
-        for idx in candidates:
-            s = sum(vmap.get(j, 0) * x for j, x in sparse[idx].items())
-            if s == 2 or s == -2:
-                count += 1
-        out.append(_neighbor_term(v, lat.rank, count))
-    return out
+    counts = _neighbor_counts(mvs.vectors, mvs.vectors)
+    return [_neighbor_term(v, lat.rank, count) for v, count in zip(mvs.vectors, counts)]
 
 
 @dataclass(frozen=True)

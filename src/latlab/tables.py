@@ -118,18 +118,6 @@ class TableReport:
     def ok(self) -> bool:
         return not self.diffs
 
-    def to_json(self) -> dict:
-        return {
-            "table": self.table_id,
-            "header": list(self.header),
-            "rows": [list(r) for r in self.rows],
-            "diffs": [
-                {"row": d.row, "field": d.field, "expected": d.expected, "got": d.got}
-                for d in self.diffs
-            ],
-            "ok": self.ok,
-        }
-
 
 def _exclusion_row(args) -> tuple[str, int, int, int]:
     tag, d, excl = args

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latlab.cli import main
+from latlab.cli import _decimal, main
 
 
 def run_cli(capsys, *argv):
@@ -191,15 +191,32 @@ def test_bad_jobs_value(capsys):
     ("craig", "--q", "9", "--k", "3"),  # formula outside the theorem
     ("craig", "--q", "7", "--k", "0"),
     ("craig", "--q", "7", "--k", "-1", "--method", "histogram"),
+    ("LATLAB_JOBS=abc", "build", "Ld:5"),
+    ("LATLAB_JOBS=0", "build", "Ld:5"),
+    ("LATLAB_JOBS=-3", "build", "Ld:5"),
 ])
-def test_malformed_values_exit_2(capsys, argv):
+def test_malformed_values_exit_2(capsys, monkeypatch, argv):
+    name, _, value = argv[0].partition("=")
+    if value:
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if value:
+        assert name in err
 
 
-def test_run_option_placement(capsys):
+def test_decimal_renders_non_bool_ints_only():
+    obj = {"ok": True, "agree": False, "D": None, "det": -540, "family": "Ld:7",
+           "rows": ((1, (2, -3)), []), 10: 27}
+    assert json.dumps(_decimal(obj)) == (
+        '{"ok": true, "agree": false, "D": null, "det": "-540", "family": "Ld:7", '
+        '"rows": [["1", ["2", "-3"]], []], "10": "27"}')
+
+
+def test_run_option_placement(capsys, monkeypatch):
     code, front, _ = run_cli(capsys, "--format", "csv", "table", "L7-single")
     assert code == 0
     assert run_cli(capsys, "table", "L7-single", "--format", "csv")[:2] == (code, front)
@@ -209,6 +226,9 @@ def test_run_option_placement(capsys):
     assert run_cli(capsys, "--jobs", "0", "build", "Ld:7", "--jobs", "1") == plain
     code, _, err = run_cli(capsys, "table", "L7-single", "--jobs", "0")
     assert code == 2 and err.startswith("error:")
+    # an explicit --jobs wins without LATLAB_JOBS being read
+    monkeypatch.setenv("LATLAB_JOBS", "abc")
+    assert run_cli(capsys, "build", "Ld:7", "--jobs", "1") == plain
 
 
 def test_scan_d_jobs_identical(capsys):

@@ -5,7 +5,8 @@ stdout that ``latlab.cli.main`` gave when the corpus was recorded.  A change
 that is meant to leave every output alone must keep all of them.  The corpus
 covers the README CLI examples in json and csv at ``--jobs 1`` and
 ``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
-methods, and one build/analyze/minvec/verify per family tag.
+methods, one build/analyze/minvec/verify per family tag, and the graph and
+scan-D outputs whose spectrum, srg or D is null or unresolved.
 
 A change that alters an output on purpose re-records the file with
 ``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` and says so in
@@ -51,6 +52,13 @@ _FAMILIES = (
     ("SidonInv:q=11", 4),
 )
 
+# no spectrum and no srg; a spectrum but no srg; D unresolved, no perfect d
+_NULL_PATHS = (
+    ("graph", "Ld:6"),
+    ("graph", "LA:Z/3+Z/3", "--norm", "4"),
+    ("scan-D", "--excl", "6", "--dmax", "8"),
+)
+
 
 def corpus_argvs() -> list[list[str]]:
     out = []
@@ -65,6 +73,7 @@ def corpus_argvs() -> list[list[str]]:
     for spec, norm in _FAMILIES:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
+    out += [list(cmd) for cmd in _NULL_PATHS]
     return out
 
 

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from latlab import families, intlinalg
+from latlab import cli, families, intlinalg
 from latlab.errors import ConstructionError
 from latlab.lattice import (
     ConstraintSystem,
@@ -202,13 +203,11 @@ def test_enumeration_matches_box_oracle_on_random_systems():
             assert set(oracle[m].vectors) == expected[m], (rows, m)
 
 
-def test_lattice_json_uses_decimal_strings():
-    from latlab.lattice import lattice_to_json, mvs_to_json
-
-    lat = families.build_family("Ld:7")
-    js = lattice_to_json(lat)
+def test_lattice_json_uses_decimal_strings(capsys):
+    assert cli.main(["build", "Ld:7"]) == 0
+    js = json.loads(capsys.readouterr().out)
     assert js["det"] == "540" and js["rank"] == "7"
     assert all(isinstance(x, str) for row in js["basis"] for x in row)
-    mvs = vectors_of_norm(lat, 4)
-    mj = mvs_to_json(mvs)
+    assert cli.main(["minvec", "Ld:7", "--norm", "4"]) == 0
+    mj = json.loads(capsys.readouterr().out)
     assert mj["count"] == "34" and mj["norm"] == "4"

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from latlab import families, intlinalg, lattice, perfection
+from latlab import families, intlinalg, lattice, perfection, tables
 from latlab.families import parse_family
 from latlab.perfection import (
     alpha_series,
@@ -140,6 +140,15 @@ def test_scan_D_base_and_a4():
 def test_scan_D_unresolved_below_bound():
     res = scan_D((2,), 10)
     assert res.D is None and not res.certified
+
+
+def test_scanned_Ld_lattices_have_no_vectors_below_norm_4():
+    # the scan asks for norm 4 directly; every lattice of the D-scan-k1
+    # table (d up to the tail bound 15) must start there
+    for a1, _ in tables._D_SCAN_K1:
+        for d in range(1, 16):
+            lat = families.build_family(families.FamilySpec("Ld", d=d, excl=(a1,)))
+            assert lattice.minimum(lat, 3) is None, (a1, d)
 
 
 def test_pattern_decompose():
