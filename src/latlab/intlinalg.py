@@ -9,13 +9,15 @@ The module provides the primitives the rest of the package is built on:
 * ``rank`` / ``bareiss_det`` / ``gram_det`` - fraction-free Bareiss elimination,
 * ``certified_rank`` - ranks certified by one elimination modulo a prime,
 * ``sym_power_rows`` - symmetric-power flattenings of vectors,
-* ``char_poly`` - Faddeev-LeVerrier characteristic polynomials.
+* ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
+  61-bit primes and the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb, isqrt, prod
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -237,31 +239,127 @@ def gram_det(B) -> int:
     return d
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_COUNT = 1024
+_PRIMES = [_CERT_PRIME]
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every n
+    below 318665857834031151167461 (about 3.2 * 10**23), the least strong
+    pseudoprime to all of them (Sorenson and Webster 2015)."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """Entry i of the fixed list of the _PRIME_COUNT largest primes below
+    2**61 in descending order, found on first use and cached."""
+    if i >= _PRIME_COUNT:
+        raise ArithmeticError(f"characteristic polynomial needs more than {_PRIME_COUNT} primes")
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _char_poly_mod_p(M, p: int) -> list[int]:
+    """Coefficients of det(t*I - M) mod p, lowest degree first.
+
+    M is brought to upper Hessenberg form H by similarity transforms over
+    GF(p) (row j+1 is the pivot row for column j; eliminating row k below it
+    subtracts u times row j+1 and adds u times column k to column j+1).  The
+    leading principal minors P_m = det(t*I - H[:m, :m]) then satisfy, with
+    indices from 1 and an empty product equal to 1,
+        P_m = t P_(m-1) - sum_(i<=m) h[i][m] h[i+1][i] ... h[m][m-1] P_(i-1).
+    """
+    H = [[x % p for x in row] for row in M]
+    n = len(H)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if H[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[j + 1], H[piv] = H[piv], H[j + 1]
+            for row in H:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        inv = pow(H[j + 1][j], -1, p)
+        us = [H[k][j] * inv % p for k in range(j + 2, n)]
+        tail = H[j + 1][j:]
+        for k, u in zip(range(j + 2, n), us):
+            if u:
+                H[k][j:] = [(a - u * b) % p for a, b in zip(H[k][j:], tail)]
+        for row in H:
+            row[j + 1] = (row[j + 1] + sum(map(mul, us, row[j + 2:]))) % p
+    polys = [[1]]
+    for m in range(n):
+        acc = [0] + polys[m]
+        scale = 1
+        for i in range(m, -1, -1):
+            f = H[i][m] * scale % p
+            if f:
+                q = polys[i]
+                acc[:len(q)] = [a - f * c for a, c in zip(acc, q)]
+            scale = scale * H[i][i - 1] % p if i else 0
+            if not scale:
+                break
+        polys.append([c % p for c in acc])
+    return polys[-1]
+
+
 def char_poly(M) -> list[int]:
     """Coefficients of det(t*I - M), highest degree first (monic).
 
-    Computed by the Faddeev-LeVerrier recurrence; every division is exact,
-    so the whole computation stays in the integers.
+    Multi-modular Hessenberg method (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9).  Coefficient c_j is (-1)^j times
+    the sum of the C(n, j) principal j x j minors, and by Hadamard's
+    inequality each of those is at most B^j in absolute value, where B^2 is
+    the largest squared row norm of M; so |c_j| <= C(n, j) B^j.  Primes are
+    taken in order from a fixed list below 2**61 until their product exceeds
+    twice the largest of these bounds; the residues are joined by the
+    Chinese remainder theorem and the symmetric residue is the exact
+    coefficient.  Hessenberg reduction and its recurrence use only field
+    operations, valid over every field, so every prime gives the true residue
+    of every coefficient: no prime is unlucky and no prime is skipped.
     """
     n = len(M)
     for row in M:
         if len(row) != n:
             raise ValueError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [1]
-    coeffs = [1]
-    Mk = [list(row) for row in M]
-    for k in range(1, n + 1):
-        ck, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            Mk[i][i] += ck
-        Mk = mat_mul(M, Mk)
-    return coeffs
+    S = max((sum(x * x for x in row) for row in M), default=0)
+    bound = max(comb(n, j) * (isqrt(S**j) + 1) for j in range(n + 1))
+    residues = [0] * (n + 1)
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        inv = pow(modulus, -1, p)
+        residues = [x + modulus * ((r - x) * inv % p)
+                    for x, r in zip(residues, _char_poly_mod_p(M, p))]
+        modulus *= p
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in reversed(residues)]
 
 
 def format_matrix(M) -> str:

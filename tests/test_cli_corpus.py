@@ -6,7 +6,9 @@ that is meant to leave every output alone must keep all of them.  The corpus
 covers the README CLI examples in json and csv at ``--jobs 1`` and
 ``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
 methods, one build/analyze/minvec/verify per family tag, and the graph and
-scan-D outputs whose spectrum, srg or D is null or unresolved.
+scan-D outputs whose spectrum, srg or D is null or unresolved, and the
+graphs whose characteristic polynomial has large or irrational-root
+coefficients.
 
 A change that alters an output on purpose re-records the file with
 ``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` and says so in
@@ -59,6 +61,14 @@ _NULL_PATHS = (
     ("scan-D", "--excl", "6", "--dmax", "8"),
 )
 
+# characteristic polynomials with coefficients of more than 61 bits or
+# irrational roots
+_CHAR_POLY = (
+    ("graph", "LA:Z/9", "--norm", "4"),
+    ("graph", "Ld:8"),
+    ("graph", "Mneg:Z/16"),
+)
+
 
 def corpus_argvs() -> list[list[str]]:
     out = []
@@ -73,7 +83,7 @@ def corpus_argvs() -> list[list[str]]:
     for spec, norm in _FAMILIES:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
-    out += [list(cmd) for cmd in _NULL_PATHS]
+    out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY]
     return out
 
 

@@ -59,6 +59,31 @@ def poly_eval_matrix(coeffs, M):
     return acc
 
 
+def faddeev_leverrier(M):
+    """Coefficients of det(t*I - M), highest degree first, by the
+    Faddeev-LeVerrier recurrence; every division is exact, so the whole
+    computation stays in the integers."""
+    n = len(M)
+    for row in M:
+        if len(row) != n:
+            raise ValueError("characteristic polynomial needs a square matrix")
+    if n == 0:
+        return [1]
+    coeffs = [1]
+    Mk = [list(row) for row in M]
+    for k in range(1, n + 1):
+        ck, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
+        coeffs.append(ck)
+        if k == n:
+            break
+        for i in range(n):
+            Mk[i][i] += ck
+        Mk = mat_mul(M, Mk)
+    return coeffs
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -196,6 +221,101 @@ def test_cayley_hamilton_size_ten():
         M = [[rng.randrange(-3, 4) for _ in range(10)] for _ in range(10)]
         coeffs = char_poly(M)
         assert poly_eval_matrix(coeffs, M) == [[0] * 10 for _ in range(10)]
+
+
+def _square(n):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def _zero_row(M, i):
+    M[i] = [0] * len(M)
+    return M
+
+
+def _strictly_upper(M):
+    return [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+# general (non-symmetric) squares, squares with a forced zero row (singular)
+# and strictly upper-triangular squares (nilpotent)
+square_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
+    _square(n),
+    st.builds(_zero_row, _square(n), st.integers(0, n - 1)),
+    _square(n).map(_strictly_upper),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrix)
+@example([])
+@example([[0]])
+@example([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+def test_char_poly_matches_faddeev_leverrier(M):
+    assert char_poly(M) == faddeev_leverrier(M)
+
+
+def _prime_calls():
+    return mock.patch.object(intlinalg, "_char_poly_mod_p", wraps=intlinalg._char_poly_mod_p)
+
+
+def test_char_poly_joins_many_primes():
+    rng = random.Random(5)
+    for _ in range(3):
+        M = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(8)] for _ in range(8)]
+        with _prime_calls() as calls:
+            coeffs = char_poly(M)
+        assert coeffs == faddeev_leverrier(M)
+        assert max(abs(c).bit_length() for c in coeffs) > 300
+        assert calls.call_count > 4
+
+
+def test_char_poly_of_a_matrix_zero_mod_the_first_prime():
+    p = intlinalg._prime(0)
+    M = [[p * x for x in row] for row in ([1, -2, 0], [3, 1, 1], [0, 5, -1])]
+    assert [[x % p for x in row] for row in M] == [[0] * 3] * 3
+    with _prime_calls() as calls:
+        assert char_poly(M) == faddeev_leverrier(M)
+    assert calls.call_count > 1
+
+
+def test_char_poly_of_a_large_diagonal():
+    d = [(1 << 70) + 3, -(1 << 65), 7, -(1 << 90) - 1, 0, 1 << 61]
+    M = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    expected = [1]
+    for r in d:  # multiply by (t - r)
+        expected = [a - r * b for a, b in zip(expected + [0], [0] + expected)]
+    assert char_poly(M) == expected
+
+
+def test_char_poly_raises_when_the_prime_list_runs_out():
+    M = [[1 << 80, 1], [1, 1 << 80]]
+    with mock.patch.object(intlinalg, "_PRIME_COUNT", 2):
+        with pytest.raises(ArithmeticError, match="more than 2 primes"):
+            char_poly(M)
+    assert char_poly(M) == faddeev_leverrier(M)
+
+
+def test_prime_list():
+    assert intlinalg._prime(0) == intlinalg._CERT_PRIME == (1 << 61) - 1
+    primes = [intlinalg._prime(i) for i in range(6)]
+    assert primes == sorted(primes, reverse=True)
+    assert all(q < 1 << 61 for q in primes)
+    sympy = pytest.importorskip("sympy")
+    assert primes == [sympy.prevprime(q) for q in [1 << 61] + primes[:-1]]
+
+
+def test_miller_rabin():
+    is_prime = intlinalg._is_prime
+    small = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
+    assert [n for n in range(200) if is_prime(n)] == small
+    # a strong pseudoprime to every prime base up to 31, and a Carmichael number
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(561)
+    assert is_prime((1 << 61) - 1) and is_prime((1 << 89) - 1)
+    assert not is_prime((1 << 61) + 1)
 
 
 def test_kernel_sum_zero():
