@@ -95,7 +95,9 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
               report.mp, report.sym_rank, report.pd)],
         )
     else:
-        _emit_json(report.to_json(family=str(spec), params=spec.params_json()))
+        _emit_json({"family": str(spec), "params": spec.params_json(), "d": report.d,
+                    "det": report.det, "min": report.min_norm, "mp": report.mp,
+                    "sym_rank": report.sym_rank, "pd": report.pd})
     return EXIT_OK
 
 
@@ -126,9 +128,6 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_table(args, cfg: RunConfig) -> int:
-    if args.table_id not in tables.TABLE_IDS:
-        print(f"error: unknown table id {args.table_id!r}", file=sys.stderr)
-        return EXIT_USAGE
     report = tables.run_table(args.table_id, jobs=cfg.jobs)
     if cfg.format == "csv":
         _emit_csv(report.header, report.rows)
@@ -165,22 +164,13 @@ def _cmd_graph(args, cfg: RunConfig) -> int:
         mvs = found[1]
     base = None
     if args.base_vector:
-        try:
-            base = tuple(int(tok) for tok in args.base_vector.split(","))
-        except ValueError as exc:
-            raise SpecError(f"bad base vector {args.base_vector!r}") from exc
+        base = families.parse_ints(args.base_vector, "base vector")
         if len(base) != lat.ambient_dim:
-            print("error: base vector length does not match ambient dimension",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecError("base vector length does not match ambient dimension")
     product = args.product if args.product is not None else (-1 if base else 0)
     graph = perfection.minvec_graph(mvs, product, base_vector=base)
-    try:
-        spectrum = graph.spectrum()
-    except ValueError:
-        spectrum = None
     info = {"vertices": graph.order, "degrees": dict(sorted(Counter(graph.degrees()).items())),
-            "spectrum": spectrum, "srg": graph.srg_parameters()}
+            "spectrum": graph.spectrum(), "srg": graph.srg_parameters()}
     print(format_matrix([list(r) for r in graph.adjacency]), end="")
     _emit_json(info)
     return EXIT_OK
@@ -194,8 +184,7 @@ def _cmd_craig(args, cfg: RunConfig) -> int:
         elif k == 3:
             value = families.craig_count_k3_closed(q)
         else:
-            print("error: no closed form for this k", file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecError("no closed form for this k")
     elif args.method == "histogram":
         value = families.craig_pair_count(q, k)
     else:
@@ -286,21 +275,13 @@ def main(argv=None) -> int:
                             ("--norm", getattr(args, "norm", None)),
                             ("--k", getattr(args, "k", None))):
             if value is not None and value < 1:
-                print(f"error: {flag} must be at least 1", file=sys.stderr)
-                return EXIT_USAGE
+                raise SpecError(f"{flag} must be at least 1")
         return args.func(args, cfg)
-    except SpecError as exc:
+    except (SpecError, ConstructionError) as exc:
+        # bad input is signalled by these two types alone; any other
+        # exception is a bug and surfaces as a traceback
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except ValueError as exc:
-        # a closed form asked for outside its range is a usage error
-        if str(exc) not in ("no closed form", "outside theorem"):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, SpecError) else EXIT_CONSTRUCTION
 
 
 if __name__ == "__main__":

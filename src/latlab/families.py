@@ -79,12 +79,17 @@ class FamilySpec:
         return f"SidonInv:q={self.q}"
 
 
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse a comma separated list of integers; `what` names it in the error."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise SpecError(f"bad {what} {text!r}") from exc
+
+
 def parse_excl(tag: str, text: str) -> tuple[int, ...]:
     """Parse a comma separated exclusion list for an Ld, Od or Md family."""
-    try:
-        excl = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise SpecError(f"bad exclusion list {text!r}") from exc
+    excl = parse_ints(text, "exclusion list")
     if any(b <= a for a, b in zip(excl, excl[1:])):
         raise SpecError("exclusions must be strictly increasing")
     _check_excl(tag, excl)
@@ -169,10 +174,16 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
                 raise SpecError("T needs c >= 1")
             return FamilySpec(tag, c=c)
         if tag in ("Craig", "SidonInv"):
+            keys = ("q", "k") if tag == "Craig" else ("q",)
             kv = {}
             for item in parts[1].split(","):
                 key, _, val = item.partition("=")
-                kv[key.strip()] = int(val)
+                key, value = key.strip(), int(val)
+                if key not in keys:
+                    raise SpecError(f"unknown {tag} key {key!r}")
+                if key in kv:
+                    raise SpecError(f"repeated {tag} key {key!r}")
+                kv[key] = value
             q = kv.get("q")
             if q is None or q < 2:
                 raise SpecError(f"{tag} needs q=<prime power>")
@@ -186,7 +197,10 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
         if len(parts) != 3 or not parts[2].startswith("set="):
             raise SpecError("Sidon needs GROUP:set=ELEMENTS")
         group = parse_group(parts[1])
-        return FamilySpec(tag, group=group, subset=_parse_element_list(group, parts[2][4:]))
+        subset = _parse_element_list(group, parts[2][4:])
+        if len(set(subset)) != len(subset):
+            raise SpecError("Sidon set elements must be distinct")
+        return FamilySpec(tag, group=group, subset=subset)
     except SpecError:
         raise
     except (ValueError, IndexError) as exc:
@@ -329,7 +343,7 @@ def det_formula(spec: FamilySpec) -> int:
         return 4 ** spec.c
     if tag == "Craig":
         return spec.q ** (2 * spec.k + 1)
-    raise ValueError("no closed form")
+    raise SpecError("no closed form")
 
 
 def _choose2(x: Fraction) -> Fraction:
@@ -377,7 +391,7 @@ def minpair_formula(spec: FamilySpec) -> int:
     if tag == "T":
         n = 2 ** spec.c - 1
         return _exact_div(4 * (n * (n - 1) // 2), 3)
-    raise ValueError("no closed form")
+    raise SpecError("no closed form")
 
 
 def jacobi(a: int, n: int) -> int:
@@ -418,18 +432,18 @@ def craig_pair_count(q_or_field: int | FiniteField, k: int) -> int:
 def craig_count_k2_closed(q: int) -> int:
     """Closed form for the k = 2 shortest-vector pair count."""
     if len(factorize(q)) != 1:
-        raise ValueError("outside theorem")
+        raise SpecError("outside theorem")
     if q % 6 == 1:
         return _exact_div(q * (q - 1) * (q * q - 10 * q + 33), 72)
     if q % 6 == 5:
         return _exact_div(q * (q - 1) * (q - 5) ** 2, 72)
-    raise ValueError("outside theorem")
+    raise SpecError("outside theorem")
 
 
 def craig_count_k3_closed(q: int) -> int:
     """Closed form for the k = 3 shortest-vector pair count (prime q > 5)."""
     if factorize(q) != [(q, 1)] or q <= 5:
-        raise ValueError("outside theorem")
+        raise SpecError("outside theorem")
     j1 = jacobi(-1, q)
     j3 = jacobi(-3, q)
     if jacobi(-2, q) == -1:

@@ -76,9 +76,6 @@ class FinAbelianGroup:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.factors))
 
-    def sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.factors))
-
     def label(self, a) -> str:
         """Short printable name of an element, e.g. '5' or '012'."""
         if len(self.factors) == 1:

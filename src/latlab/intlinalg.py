@@ -88,46 +88,28 @@ def hnf(M) -> Matrix:
     return A
 
 
-def nonzero_rows(M) -> Matrix:
-    return [list(row) for row in M if any(row)]
-
-
-def integer_kernel(A) -> Matrix:
-    """HNF basis (as rows) of {x in Z^c : A x = 0} for an r x c matrix A."""
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    # Row-reduce [A^t | I]; rows whose left block vanishes record kernel
-    # combinations in the right block, already in HNF.
-    aug = [[A[i][j] for i in range(nrows)] + [1 if t == j else 0 for t in range(ncols)]
-           for j in range(ncols)]
-    H = hnf(aug)
-    return [row[nrows:] for row in H if not any(row[:nrows])]
-
-
 def kernel_basis(n: int, rows) -> Matrix:
     """Canonical (HNF) basis of {v in Z^n : <w_i, v> = 0 mod m_i for all i}.
 
     The rows are pairs (w_i, m_i) of a length-n weight vector and a modulus
     m_i >= 0, where 0 means equality over the integers.  Congruence rows get
-    an auxiliary integer unknown each, so a single integer-kernel
-    computation covers both exact and modular constraints.
+    an auxiliary integer unknown t_i each, turning the system into the
+    integer kernel of A = [W | -diag(m)] in the unknowns (v, t).  Reducing
+    [A^t | I] to HNF leaves that kernel, already in HNF, in the right block
+    of the rows whose left block vanishes.  Each t_i = <w_i, v> / m_i is
+    fixed by v, so no nonzero kernel vector has v = 0: every kernel row
+    pivots in a v column, and cut to those columns the rows are the HNF
+    basis of the lattice.
     """
-    mod_slots = [i for i, (_, m) in enumerate(rows) if m > 0]
-    slot_of = {i: s for s, i in enumerate(mod_slots)}
-    s = len(mod_slots)
-    A = []
-    for i, (weights, modulus) in enumerate(rows):
-        aux = [0] * s
-        if modulus > 0:
-            aux[slot_of[i]] = -modulus
-        A.append(list(weights) + aux)
-    if not A:
-        return identity(n)
-    full = integer_kernel(A)
-    projected = [row[:n] for row in full]
-    basis = nonzero_rows(hnf(projected))
-    if len(basis) != len(projected):
-        raise RuntimeError("kernel projection lost rank")
+    r = len(rows)
+    mods = [(i, m) for i, (_, m) in enumerate(rows) if m > 0]
+    # row j of A^t is column j of A: the weights of v_j, then one -m_i per t_i
+    at = [[w[j] for w, _ in rows] for j in range(n)]
+    at += [[-m if s == i else 0 for s in range(r)] for i, m in mods]
+    aug = [row + unit for row, unit in zip(at, identity(len(at)))]
+    basis = [row[r:r + n] for row in hnf(aug) if not any(row[:r])]
+    if not all(any(row) for row in basis):
+        raise RuntimeError("kernel row vanishes on the lattice coordinates")
     return basis
 
 

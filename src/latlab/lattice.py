@@ -9,7 +9,12 @@ independent ways:
   and signs in the ambient space, pruning with interval bounds on the
   equality rows and filtering congruence rows on completed supports;
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over basis
-  coordinates with exact rational Cholesky bounds.
+  coordinates with an exact rational Cholesky decomposition.  Each
+  coordinate x_i adds q_ii (x_i + U)^2 to the partial norm, a convex function
+  of x_i, so the values within budget form an interval around the integer
+  nearest -U: the search walks up from that integer and then down from the
+  one below it, each walk stopping at the first value over budget.  No
+  square root is taken.
 
 The two must agree norm by norm; the test suite leans on that equivalence.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
 from . import intlinalg
@@ -213,20 +219,6 @@ def has_m_lattice_sidon_property(cs: ConstraintSystem, m: int) -> bool:
     return minimum(build(cs), 2 * (m + 1) - 1) is None
 
 
-def _floor_sqrt(fr: Fraction) -> int:
-    return isqrt(fr.numerator * fr.denominator) // fr.denominator
-
-
-def _int_interval(R: Fraction, U: Fraction) -> tuple[int, int]:
-    """All integers x with (x + U)^2 <= R, as an inclusive range."""
-    s = _floor_sqrt(R)
-    f = (s * U.denominator - U.numerator) // U.denominator
-    hi = f + 1 if (f + 1 + U <= 0 or (f + 1 + U) ** 2 <= R) else f
-    g = (s * U.denominator + U.numerator) // U.denominator
-    gg = g + 1 if (g + 1 - U <= 0 or (g + 1 - U) ** 2 <= R) else g
-    return -gg, hi
-
-
 def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVectorSet]:
     """Fincke-Pohst enumeration of all norms <= bound, in ambient coordinates.
 
@@ -252,23 +244,30 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
 
     def descend(i: int, used: Fraction) -> None:
         U = sum((q[i][j] * x[j] for j in range(i + 1, d)), Fraction(0))
+        un, ud = U.numerator, U.denominator
+        # (x_i + U)^2 <= R tested in integers; the x_i passing it form an
+        # interval around floor(1/2 - U), the integer nearest -U
         R = (budget - used) / q[i][i]
-        lo, hi = _int_interval(R, U)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            used_i = used + q[i][i] * (xi + U) ** 2
-            if i:
-                descend(i - 1, used_i)
-            elif any(x):
-                norm = int(used_i)
-                if used_i != norm or not 1 <= norm <= bound:
-                    raise ArithmeticError(f"oracle reached norm {used_i} outside 1..{bound}")
-                amb = [0] * lat.ambient_dim
-                for c, row in zip(x, lat.basis):
-                    if c:
-                        for t, b in enumerate(row):
-                            amb[t] += c * b
-                buckets[norm].add(sign_canonical(amb))
+        lhs, rhs = R.denominator, R.numerator * ud * ud
+        start = (ud - 2 * un) // (2 * ud)
+        for walk in (count(start), count(start - 1, -1)):
+            for xi in walk:
+                if lhs * (ud * xi + un) ** 2 > rhs:
+                    break
+                x[i] = xi
+                used_i = used + q[i][i] * (xi + U) ** 2
+                if i:
+                    descend(i - 1, used_i)
+                elif any(x):
+                    norm = int(used_i)
+                    if used_i != norm or not 1 <= norm <= bound:
+                        raise ArithmeticError(f"oracle reached norm {used_i} outside 1..{bound}")
+                    amb = [0] * lat.ambient_dim
+                    for c, row in zip(x, lat.basis):
+                        if c:
+                            for t, b in enumerate(row):
+                                amb[t] += c * b
+                    buckets[norm].add(sign_canonical(amb))
         x[i] = 0
 
     descend(d - 1, Fraction(0))

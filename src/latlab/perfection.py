@@ -48,12 +48,10 @@ class PerfectionReport:
     sym_rank: int
     pd: int
 
-    def to_json(self, family: str | None = None, params: dict | None = None) -> dict:
+    def to_json(self, family: str | None = None) -> dict:
         out: dict = {}
         if family is not None:
             out["family"] = family
-        if params is not None:
-            out["params"] = params
         out.update({
             "d": str(self.d),
             "det": str(self.det),
@@ -355,8 +353,8 @@ class MinVectorGraph:
     def char_poly(self) -> list[int]:
         return intlinalg.char_poly([list(row) for row in self.adjacency])
 
-    def spectrum(self) -> dict[int, int]:
-        """Eigenvalue multiplicities, requiring all eigenvalues integral.
+    def spectrum(self) -> dict[int, int] | None:
+        """Eigenvalue multiplicities, or None unless all eigenvalues are integral.
 
         Candidate roots are scanned inside the Gershgorin bound (the largest
         absolute row sum), which contains every eigenvalue of the adjacency
@@ -370,7 +368,7 @@ class MinVectorGraph:
                 coeffs = _poly_divide_linear(coeffs, cand)
                 roots[cand] = roots.get(cand, 0) + 1
         if len(coeffs) > 1:
-            raise ValueError("spectrum has non-integer eigenvalues")
+            return None
         return dict(sorted(roots.items(), reverse=True))
 
 

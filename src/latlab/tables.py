@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families, perfection
+from .errors import SpecError
 from .families import FamilySpec
 from .perfection import _map
 
@@ -154,7 +155,7 @@ def run_table(table_id: str, jobs: int = 1) -> TableReport:
         task, args = _craig_row, [(q, k) for q, _ in golden]
         header, expected = ("q", "closed_form", "histogram"), [(v, v) for _, v in golden]
     else:
-        raise KeyError(table_id)
+        raise SpecError(f"unknown table id {table_id!r}")
     computed = _map(task, args, jobs)
     rows, diffs = [], []
     for want, (label, *got) in zip(expected, computed):

@@ -194,6 +194,11 @@ def test_bad_jobs_value(capsys):
     ("LATLAB_JOBS=abc", "build", "Ld:5"),
     ("LATLAB_JOBS=0", "build", "Ld:5"),
     ("LATLAB_JOBS=-3", "build", "Ld:5"),
+    ("build", "Sidon:Z/7:set=0,0,1"),
+    ("build", "Sidon:Z/7:set=0,7"),  # 7 reduces to 0
+    ("build", "Craig:q=7,k=2,z=1"),
+    ("build", "SidonInv:q=11,k=2"),
+    ("build", "Craig:q=7,k=2,q=11"),
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     name, _, value = argv[0].partition("=")
@@ -206,6 +211,24 @@ def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     assert err.startswith("error:") and "Traceback" not in err
     if value:
         assert name in err
+
+
+def test_repeated_sidon_element_message(capsys):
+    code, _, err = run_cli(capsys, "build", "Sidon:Z/7:set=0,0,1")
+    assert (code, err) == (2, "error: Sidon set elements must be distinct\n")
+
+
+@pytest.mark.parametrize("spec", [
+    "LA:Z/1", "LA:", "Mneg:Z/0", "LAsub:Z/7:drop=", "LAsub:Z/7", "Sidon:Z/7:set=",
+    "Sidon:Z/7", "Sidon:Z/7:set=0,1,2", "Od:3:excl=2", "Md:4:excl=-1", "Ld:4:excl=3,2",
+    "Ld:0", "T:x", "Craig:q=7,k=7", "Craig:q=", "Craig:q=6,k=2", "Craig:k=2",
+    "SidonInv:q=4",
+])
+def test_malformed_specs_fail_cleanly(capsys, spec):
+    code, out, err = run_cli(capsys, "build", spec)
+    assert code in (2, 3)
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_decimal_renders_non_bool_ints_only():

@@ -6,7 +6,7 @@ and that the rows really are a basis (equal HNF span).
 """
 
 from latlab import families, lattice
-from latlab.intlinalg import gram_matrix, hnf, nonzero_rows
+from latlab.intlinalg import gram_matrix, hnf
 from latlab.lattice import ConstraintSystem, build
 
 L7_BASIS = (
@@ -216,6 +216,10 @@ def _scaled(M, factor):
 
 def _as_tuple(M):
     return tuple(tuple(row) for row in M)
+
+
+def nonzero_rows(M):
+    return [list(row) for row in M if any(row)]
 
 
 def _even_sublattice_cs(coords_group, drop_zero: bool) -> ConstraintSystem:

@@ -227,8 +227,11 @@ def test_orthogonality_profiles_distinguish_order9_groups():
     m33 = lattice.vectors_of_norm(lat33, 4)
     assert orthogonality_degrees(m9) == {9, 15}
     assert orthogonality_degrees(m33) == {9}
-    degs = minvec_graph(m9, 0).degrees()
+    graph = minvec_graph(m9, 0)
+    degs = graph.degrees()
     assert sorted(degs).count(15) == 27 and sorted(degs).count(9) == 27
+    # the cyclic profile graph has irrational eigenvalues
+    assert graph.spectrum() is None
 
 
 def test_parity_check():

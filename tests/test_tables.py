@@ -1,6 +1,8 @@
 import json
 
-from latlab import tables
+import pytest
+
+from latlab import SpecError, tables
 from latlab.cli import main
 
 
@@ -9,6 +11,11 @@ def test_table_ids_complete():
         "L7-single", "L8-single", "L8-double", "O8", "O9", "M8", "M9",
         "D-scan-k1", "craig-k2", "craig-k3",
     }
+
+
+def test_unknown_table_id_is_a_spec_error():
+    with pytest.raises(SpecError, match="unknown table id 'bogus'"):
+        tables.run_table("bogus")
 
 
 def test_clean_tables_reproduce():
