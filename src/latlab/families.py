@@ -141,6 +141,8 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
     tag = parts[0]
     if tag not in TAGS:
         raise SpecError(f"unknown family tag {tag!r}")
+    if tag in ("LA", "Mneg", "T", "Craig", "SidonInv") and len(parts) > 2:
+        raise SpecError("too many ':' separated parts")
     try:
         if tag in ("Ld", "Od", "Md"):
             if len(parts) < 2:

@@ -1,22 +1,30 @@
-"""Exact integer linear algebra on dense matrices.
+"""Exact integer linear algebra.
 
 Matrices are plain lists of rows of Python ints, so every entry is an
 arbitrary-precision integer and nothing here ever touches floating point.
-The module provides the primitives the rest of the package is built on:
+The rows of a rank certificate are sparse, {column: value} dicts.  The
+module provides the primitives the rest of the package is built on:
 
 * ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests),
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
 * ``rank`` / ``bareiss_det`` / ``gram_det`` - fraction-free Bareiss elimination,
-* ``certified_rank`` - ranks certified by one elimination modulo a prime,
-* ``sym_power_rows`` - symmetric-power flattenings of vectors,
+* ``certified_rank`` - exact ranks of sparse rows under a known cap,
+  certified by one sparse elimination modulo a prime (each pivot in the
+  rarest column of its row; incoming rows meet the pivots in creation
+  order, so every reduction terminates); a degree-k flattening of vectors
+  spanning s dimensions has the cap comb(s + k - 1, k), and s itself has
+  any known bound, such as the rank of a lattice holding the vectors,
+* ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
   61-bit primes and the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
-from math import comb, isqrt, prod
+from math import comb, isqrt
 from operator import mul
 
 Matrix = list[list[int]]
@@ -165,52 +173,105 @@ def bareiss_det(M) -> int:
 _CERT_PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(rows, cap: int) -> int:
-    """Rank of the rows mod _CERT_PRIME (a lower bound for the rank over Q),
-    stopping early once cap is reached."""
+def _rank_mod_p(rows, cap: int) -> tuple[int, int, int]:
+    """Sparse elimination of a list of {column: value} rows modulo _CERT_PRIME.
+
+    Returns (rank, rows consumed, entry updates): the rank mod p, which never
+    exceeds the rank over Q, the number of rows read before it stopped (at
+    the end or once the rank reaches cap), and the number of pivot-row
+    entries applied to incoming rows.
+
+    A row left nonzero after reduction becomes a pivot in its rarest column,
+    counted over all the input rows, ties going to the lowest column, so few
+    later rows meet it and fill-in stays small (Markowitz 1957; LaMacchia
+    and Odlyzko 1990).  The pivot row is scaled to make its pivot entry 1
+    and is stored without that entry, negated.  An incoming row is reduced
+    against the pivots in creation order, kept as a heap of creation
+    indices.  This terminates: a pivot row has no entry in the column of any
+    earlier pivot, because it was reduced against all of them, so applying
+    pivot i writes only into columns of later pivots, and each pivot is
+    applied at most once per row.
+    """
     p = _CERT_PRIME
-    pivots: list[tuple[int, list[int]]] = []
-    r = 0
+    count = Counter(c for row in rows for c in row)
+    order: dict[int, int] = {}  # pivot column -> creation index
+    pivots: list[tuple[int, dict[int, int]]] = []
+    consumed = updates = 0
     for row in rows:
-        v = [x % p for x in row]
-        for col, prow in pivots:
-            f = v[col]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, prow)]
-        col = next((j for j, x in enumerate(v) if x), None)
-        if col is None:
+        consumed += 1
+        v = {c: y for c, x in row.items() if (y := x % p)}
+        heap = [order[c] for c in v if c in order]
+        heapify(heap)
+        while heap:
+            col, prow = pivots[heappop(heap)]
+            f = v.pop(col, 0)
+            if not f:
+                continue
+            updates += len(prow)
+            for j, x in prow.items():
+                y = v.get(j)
+                if y is None:
+                    v[j] = f * x % p
+                    if j in order:
+                        heappush(heap, order[j])
+                elif y := (y + f * x) % p:
+                    v[j] = y
+                else:
+                    del v[j]
+        if not v:
             continue
-        inv = pow(v[col], -1, p)
-        pivots.append((col, [(a * inv) % p for a in v]))
-        r += 1
-        if r == cap:
+        col = min(v, key=lambda j: (count[j], j))
+        neg_inv = p - pow(v.pop(col), -1, p)
+        order[col] = len(pivots)
+        pivots.append((col, {j: x * neg_inv % p for j, x in v.items()}))
+        if len(pivots) == cap:
             break
-    return r
+    return len(pivots), consumed, updates
 
 
 def certified_rank(rows, cap: int) -> int:
-    """Exact rank over Q of rows known to have rank <= cap.
+    """Exact rank over Q of sparse {column: value} rows known to have rank
+    at most cap.
 
     The rank modulo a prime never exceeds the rank over Q, which never
-    exceeds the cap, so a single elimination modulo a fixed 61-bit prime
-    certifies the rank whenever the modular rank reaches the cap.  Otherwise
-    fraction-free Bareiss elimination settles the value.  The result is
-    exact either way; the modular pass only short-circuits the common
-    full-rank case.
+    exceeds the cap, so one sparse elimination modulo a fixed 61-bit prime
+    certifies the rank whenever the modular rank reaches the cap, whatever
+    its pivot order.  That elimination (_rank_mod_p) puts each pivot in the
+    rarest column of its row and reduces each incoming row against the
+    pivots in creation order; it terminates because a pivot row has no
+    entry in the column of an earlier pivot.  Otherwise fraction-free
+    Bareiss elimination of the rows, made dense over the columns they use,
+    settles the value.  The result is exact either way; the modular pass
+    only short-circuits the common full-rank case.
     """
-    if not rows:
-        return 0
-    if _rank_mod_p(rows, cap) == cap:
+    if _rank_mod_p(rows, cap)[0] == cap:
         return cap
-    return rank(rows)
+    cols = sorted(set().union(*rows))
+    return rank([[row.get(c, 0) for c in cols] for row in rows])
 
 
-def sym_power_rows(vectors, k: int) -> Matrix:
-    """Degree-k symmetric-power flattenings: the row of a vector v lists
-    every degree-k monomial evaluated at v, in the order of
-    combinations_with_replacement over the coordinates (for k = 2, the upper
-    triangle of v v^t row by row)."""
-    return [list(map(prod, combinations_with_replacement(v, k))) for v in vectors]
+def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:
+    """Sparse degree-k symmetric-power flattenings.
+
+    The row of a vector v maps each degree-k monomial that is nonzero at v
+    to its value there.  The monomial x_(i1) ... x_(ik) with i1 <= ... <= ik
+    is column i1 n^(k-1) + ... + ik, its indices read as base-n digits for
+    vectors of length n; any injective labelling gives the same rank.  For
+    k = 1 the row is the sparse vector itself.
+    """
+    rows = []
+    for v in vectors:
+        n = len(v)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        row = {}
+        for monomial in combinations_with_replacement(support, k):
+            col, value = 0, 1
+            for i, x in monomial:
+                col = col * n + i
+                value *= x
+            row[col] = value
+        rows.append(row)
+    return rows
 
 
 def gram_det(B) -> int:

@@ -27,16 +27,25 @@ def _sym_power_rank(vecs, k: int, span: int) -> int:
     return intlinalg.certified_rank(intlinalg.sym_power_rows(vecs, k), comb(span + k - 1, k))
 
 
-def sym_square_rank(vectors) -> int:
+def sym_square_rank(vectors, dim: int | None = None) -> int:
     """Rank of the span of the symmetric squares v v^t of the given vectors.
 
-    Rows are the upper-triangle flattenings with raw products v_i v_j; the
-    rank over Q does not depend on that choice of weighting.
+    Rows are the sparse upper-triangle flattenings with raw products
+    v_i v_j; the rank over Q does not depend on that choice of weighting.
+    The rank is certified (intlinalg.certified_rank: sparse elimination
+    modulo a prime, each pivot in the rarest column of its row, incoming
+    rows reduced against the pivots in creation order, which terminates
+    because no pivot row has an entry in an earlier pivot's column) under
+    the cap comb(s + 1, 2), where s is the dimension of the span of the
+    vectors.  A caller that knows a bound dim on s, such as the rank of a
+    lattice containing the vectors, passes it, and s is certified the same
+    way under the cap dim; without it, s comes from Bareiss elimination.
     """
     vecs = list(vectors)
     if not vecs:
         raise ValueError("need at least one vector")
-    return _sym_power_rank(vecs, 2, intlinalg.rank(vecs))
+    span = intlinalg.rank(vecs) if dim is None else _sym_power_rank(vecs, 1, dim)
+    return _sym_power_rank(vecs, 2, span)
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,8 @@ def perfection_report(lat: Lattice, min_cap: int = 12) -> PerfectionReport:
     if found is None:
         raise ConstructionError(f"minimum exceeds cap {min_cap}")
     norm, mvs = found
-    rank = sym_square_rank(mvs.vectors)
     d = lat.rank
+    rank = sym_square_rank(mvs.vectors, d)
     return PerfectionReport(
         d=d,
         det=lat.det,
@@ -184,7 +193,7 @@ def _scan_entry(args) -> bool:
     # no Ld lattice has vectors of norm 1-3: the all-ones row makes an odd
     # norm impossible, and e_i - e_j would need two equal window coefficients
     mvs = lattice.vectors_of_norm(lat, 4)
-    return bool(mvs.vectors) and sym_square_rank(mvs.vectors) == comb(d + 1, 2)
+    return bool(mvs.vectors) and sym_square_rank(mvs.vectors, d) == comb(d + 1, 2)
 
 
 def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:

@@ -222,7 +222,8 @@ def test_repeated_sidon_element_message(capsys):
     "LA:Z/1", "LA:", "Mneg:Z/0", "LAsub:Z/7:drop=", "LAsub:Z/7", "Sidon:Z/7:set=",
     "Sidon:Z/7", "Sidon:Z/7:set=0,1,2", "Od:3:excl=2", "Md:4:excl=-1", "Ld:4:excl=3,2",
     "Ld:0", "T:x", "Craig:q=7,k=7", "Craig:q=", "Craig:q=6,k=2", "Craig:k=2",
-    "SidonInv:q=4",
+    "SidonInv:q=4", "LA:Z/7:x", "T:3:x", "Mneg:Z/8:foo", "Craig:q=7,k=2:bogus",
+    "SidonInv:q=11:x",
 ])
 def test_malformed_specs_fail_cleanly(capsys, spec):
     code, out, err = run_cli(capsys, "build", spec)

@@ -8,7 +8,7 @@ covers the README CLI examples in json and csv at ``--jobs 1`` and
 methods, one build/analyze/minvec/verify per family tag, and the graph and
 scan-D outputs whose spectrum, srg or D is null or unresolved, and the
 graphs whose characteristic polynomial has large or irrational-root
-coefficients.
+coefficients, and two analyses with large symmetric-square ranks.
 
 A change that alters an output on purpose re-records the file with
 ``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` and says so in
@@ -69,6 +69,13 @@ _CHAR_POLY = (
     ("graph", "Mneg:Z/16"),
 )
 
+# Sym2 ranks over several thousand rows: the sparse modular eliminator's
+# pivot order and early stop at the cap
+_SYM_RANK = (
+    ("analyze", "Ld:30"),
+    ("analyze", "LA:Z/32"),
+)
+
 
 def corpus_argvs() -> list[list[str]]:
     out = []
@@ -83,7 +90,7 @@ def corpus_argvs() -> list[list[str]]:
     for spec, norm in _FAMILIES:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
-    out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY]
+    out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK]
     return out
 
 

@@ -1,12 +1,13 @@
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from math import comb, prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latlab import intlinalg
+from latlab import families, intlinalg, lattice, perfection
 from latlab.intlinalg import (
     bareiss_det,
     certified_rank,
@@ -19,6 +20,7 @@ from latlab.intlinalg import (
     kernel_basis,
     mat_mul,
     rank,
+    sym_power_rows,
 )
 
 
@@ -88,6 +90,48 @@ def faddeev_leverrier(M):
     return coeffs
 
 
+def dense_rank_mod_p(rows, cap):
+    """Dense elimination modulo _CERT_PRIME, the loop the sparse eliminator
+    replaced: each row is reduced against every earlier pivot and pivots in
+    its first nonzero column.  Returns (rank, rows consumed, entry updates)
+    like intlinalg._rank_mod_p; a dense update touches every column."""
+    p = intlinalg._CERT_PRIME
+    pivots = []
+    consumed = updates = 0
+    for row in rows:
+        consumed += 1
+        v = [x % p for x in row]
+        for col, prow in pivots:
+            f = v[col]
+            if f:
+                updates += len(prow)
+                v = [(a - f * b) % p for a, b in zip(v, prow)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, p)
+        pivots.append((col, [(a * inv) % p for a in v]))
+        if len(pivots) == cap:
+            break
+    return len(pivots), consumed, updates
+
+
+def dense_sym_power_rows(vectors, k):
+    """Dense degree-k flattenings: every degree-k monomial evaluated at v, in
+    the order of combinations_with_replacement over the coordinates."""
+    return [list(map(prod, combinations_with_replacement(v, k))) for v in vectors]
+
+
+def dense(rows):
+    """Sparse {column: value} rows as a matrix over the columns they use."""
+    cols = sorted(set().union(*rows))
+    return [[row.get(c, 0) for c in cols] for row in rows]
+
+
+def sparse(M):
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -154,18 +198,104 @@ def test_bareiss_det_matches_leibniz(M):
     assert bareiss_det(M) == _leibniz_det(M)
 
 
+_P = intlinalg._CERT_PRIME
+
+
+@st.composite
+def sparse_matrix(draw, entries=st.integers(-3, 3)):
+    """Sparse rows over columns 0-20, with explicit zero entries, zero rows,
+    duplicate rows and sums of two rows."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 20), entries, max_size=6), max_size=8))
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        rows += [dict(rows[i]) for i in draw(st.lists(index, max_size=2))]
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+            a, b = rows[i], rows[j]
+            rows.append({c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()})
+    rows += [{}] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+# small entries next to entries that vanish or nearly vanish mod the prime
+mod_p_entry = st.one_of(st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P - 1, _P + 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrix(mod_p_entry), st.integers(-2, 2))
+@example([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 1, 1: 2, 2: 1}], 0)
+@example([{0: _P}, {0: 2, 1: _P}, {1: 1}], 1)
+def test_sparse_rank_mod_p_matches_the_dense_loop(rows, offset):
+    full = dense_rank_mod_p(dense(rows), -1)[0]
+    cap = max(full + offset, 1)
+    r, consumed, _ = intlinalg._rank_mod_p(rows, cap)
+    # the prefix at which the modular rank reaches the cap does not depend
+    # on the pivot order, so both loops stop at the same row
+    assert (r, consumed) == dense_rank_mod_p(dense(rows), cap)[:2]
+    assert r == min(full, cap) <= rank(dense(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix(mod_p_entry), st.integers(0, 2))
+@example([{0: _P, 1: 1}, {0: 1}], 0)  # rank 2 over Q, 1 mod the prime
+def test_certified_rank_is_exact_when_entries_vanish_mod_p(rows, extra):
+    r = rank(dense(rows))
+    assert certified_rank(rows, r + extra) == r
+
+
 @settings(max_examples=100, deadline=None)
-@given(small_matrix)
+@given(st.one_of(small_matrix.map(sparse), sparse_matrix()))
 def test_certified_rank_matches_bareiss_rank(M):
-    r = rank(M)
+    r = rank(dense(M))
     with mock.patch.object(intlinalg, "rank", wraps=intlinalg.rank) as fallback:
-        # every minor is far below the prime, so a cap equal to the rank is
-        # certified by the modular pass alone
+        # every minor is far below the prime (Hadamard's bound), so a cap
+        # equal to the rank is certified by the modular pass alone
         assert certified_rank(M, r) == r
         assert fallback.call_count == 0
         # the modular rank cannot reach a cap above the rank, so Bareiss decides
         assert certified_rank(M, r + 1) == r
         assert fallback.call_count == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=1, max_size=5)), st.integers(1, 3))
+def test_sym_power_rows_relabel_the_dense_flattening(vecs, k):
+    n = len(vecs[0])
+    labels = [sum(i * n ** (k - 1 - t) for t, i in enumerate(m))
+              for m in combinations_with_replacement(range(n), k)]
+    assert len(set(labels)) == len(labels)
+    for row, full in zip(sym_power_rows(vecs, k), dense_sym_power_rows(vecs, k)):
+        assert row == {c: x for c, x in zip(labels, full) if x}
+
+
+# Sym2 ranks of the perfbench analyze specs and of Ld:30; the last four are
+# small enough for Bareiss too
+SYM2_RANKS = {
+    "Ld:26": 351, "LA:Z/24": 276, "Od:20": 210, "Md:20": 210, "Mneg:Z/30": 136,
+    "Ld:30": 465, "T:4": 120, "Craig:q=13,k=2": 78, "Ld:6": 20, "LA:Z/4+Z/2": 26,
+}
+BAREISS_SIZED = ("T:4", "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
+
+
+def _shortest_vectors(spec):
+    """(lattice rank, shortest vectors) of a family spec."""
+    lat = families.build_family(spec)
+    return lat.rank, lattice.minimum(lat, 12)[1].vectors
+
+
+@pytest.mark.parametrize("spec", list(SYM2_RANKS))
+def test_sym2_rank_matches_the_dense_loop(spec):
+    d, vecs = _shortest_vectors(spec)
+    cap = comb(d + 1, 2)
+    full = dense_sym_power_rows(vecs, 2)
+    r, consumed, updates = intlinalg._rank_mod_p(sym_power_rows(vecs, 2), cap)
+    dense_r, dense_consumed, dense_updates = dense_rank_mod_p(full, cap)
+    assert (r, consumed) == (dense_r, dense_consumed)
+    assert updates < dense_updates
+    assert perfection.sym_square_rank(vecs, d) == SYM2_RANKS[spec]
+    if spec in BAREISS_SIZED:
+        assert rank(full) == SYM2_RANKS[spec]
 
 
 def test_rank_examples():
@@ -365,3 +495,30 @@ def test_gram_matrix_values():
 
 def test_matrix_text_roundtrip():
     assert format_matrix([[1, -2, 3], [0, 5, -7]]) == "2 3\n1 -2 3\n0 5 -7\n"
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_intlinalg.py --work prints, for the
+    # Sym2 rows of each spec in SYM2_RANKS, the certified rank and the rows
+    # consumed, pivots, entry updates and CPU seconds of the sparse
+    # eliminator and of the dense loop
+    import json
+    import sys
+    import time
+
+    if sys.argv[1:] != ["--work"]:
+        sys.exit("usage: test_intlinalg.py --work")
+    for spec in SYM2_RANKS:
+        d, vecs = _shortest_vectors(spec)
+        cap = comb(d + 1, 2)
+        out = {"spec": spec, "mp": len(vecs), "cap": cap,
+               "certified_rank": perfection.sym_square_rank(vecs, d)}
+        for name, flatten, eliminate in (
+                ("sparse", sym_power_rows, intlinalg._rank_mod_p),
+                ("dense", dense_sym_power_rows, dense_rank_mod_p)):
+            start = time.process_time()
+            pivots, consumed, updates = eliminate(flatten(vecs, 2), cap)
+            out[name] = {"rows_consumed": consumed, "pivots": pivots,
+                         "entry_updates": updates,
+                         "cpu_s": round(time.process_time() - start, 3)}
+        print(json.dumps(out), flush=True)

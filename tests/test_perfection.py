@@ -37,11 +37,25 @@ def test_sym_square_rank_L6_L7():
 
 
 def test_certified_rank_matches_bareiss():
-    # the modular certificate must agree with plain fraction-free elimination
+    # the modular certificate must agree with plain fraction-free elimination,
+    # with the span from Bareiss and with the span certified under the rank
     for spec in ("Ld:6", "Ld:7", "Od:7", "LA:Z/8", "Md:7"):
-        vecs = lattice.vectors_of_norm(families.build_family(spec), 4).vectors
+        lat = families.build_family(spec)
+        vecs = lattice.vectors_of_norm(lat, 4).vectors
         rows = intlinalg.sym_power_rows(vecs, 2)
-        assert sym_square_rank(vecs) == intlinalg.rank(rows), spec
+        cols = sorted(set().union(*rows))
+        expected = intlinalg.rank([[row.get(c, 0) for c in cols] for row in rows])
+        assert sym_square_rank(vecs) == sym_square_rank(vecs, lat.rank) == expected, spec
+
+
+def test_perfect_report_needs_no_bareiss(monkeypatch):
+    # a perfect lattice reaches both caps mod p, the span's and the square's
+    def no_bareiss(M):
+        raise AssertionError("Bareiss fallback on a perfect lattice")
+
+    monkeypatch.setattr(intlinalg, "rank", no_bareiss)
+    rep = perfection_report(families.build_family("Ld:7"))
+    assert (rep.sym_rank, rep.pd) == (28, 0)
 
 
 def test_perfection_report_table_rows():
