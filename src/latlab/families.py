@@ -21,7 +21,10 @@ from .groups import (FinAbelianGroup, factorize, is_sidon, mod_negation_reps, pa
                      two_torsion_rank)
 from .lattice import ConstraintSystem, Lattice
 
-TAGS = ("Ld", "Od", "Md", "LA", "LAsub", "Mneg", "T", "Craig", "Sidon", "SidonInv")
+# each family tag and the most ':' separated parts its spec takes
+_MAX_PARTS = {"Ld": 3, "Od": 3, "Md": 3, "LA": 2, "LAsub": 3, "Mneg": 2, "T": 2,
+              "Craig": 2, "Sidon": 3, "SidonInv": 2}
+TAGS = tuple(_MAX_PARTS)
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
     tag = parts[0]
     if tag not in TAGS:
         raise SpecError(f"unknown family tag {tag!r}")
-    if tag in ("LA", "Mneg", "T", "Craig", "SidonInv") and len(parts) > 2:
+    if len(parts) > _MAX_PARTS[tag]:
         raise SpecError("too many ':' separated parts")
     try:
         if tag in ("Ld", "Od", "Md"):
@@ -155,8 +158,6 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
                 if not parts[2].startswith("excl="):
                     raise SpecError(f"unexpected argument {parts[2]!r}")
                 excl = parse_excl(tag, parts[2][5:])
-            elif len(parts) > 3:
-                raise SpecError("too many ':' separated parts")
             spec = FamilySpec(tag, d=d, excl=excl)
             if strict:
                 _excl_window_check(spec)
@@ -164,7 +165,7 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
         if tag == "LA":
             return FamilySpec(tag, group=parse_group(parts[1]))
         if tag == "LAsub":
-            if len(parts) != 3 or not parts[2].startswith("drop="):
+            if len(parts) < 3 or not parts[2].startswith("drop="):
                 raise SpecError("LAsub needs GROUP:drop=ELEMENT")
             group = parse_group(parts[1])
             return FamilySpec(tag, group=group, drop=group.parse_element(parts[2][5:]))
@@ -196,7 +197,7 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
                 raise SpecError("Craig needs k>=1")
             return FamilySpec(tag, q=q, k=k)
         # Sidon:GROUP:set=a,b,c
-        if len(parts) != 3 or not parts[2].startswith("set="):
+        if len(parts) < 3 or not parts[2].startswith("set="):
             raise SpecError("Sidon needs GROUP:set=ELEMENTS")
         group = parse_group(parts[1])
         subset = _parse_element_list(group, parts[2][4:])

@@ -11,9 +11,10 @@ module provides the primitives the rest of the package is built on:
 * ``certified_rank`` - exact ranks of sparse rows under a known cap,
   certified by one sparse elimination modulo a prime (each pivot in the
   rarest column of its row; incoming rows meet the pivots in creation
-  order, so every reduction terminates); a degree-k flattening of vectors
-  spanning s dimensions has the cap comb(s + k - 1, k), and s itself has
-  any known bound, such as the rank of a lattice holding the vectors,
+  order, so each pivot is applied at most once per row); a degree-k
+  flattening of vectors spanning s dimensions has the cap comb(s + k - 1, k),
+  and s itself has any known bound, such as the rank of a lattice holding
+  the vectors or their length,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
   61-bit primes and the Chinese remainder theorem.
@@ -173,32 +174,26 @@ def bareiss_det(M) -> int:
 _CERT_PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(rows, cap: int) -> tuple[int, int, int]:
-    """Sparse elimination of a list of {column: value} rows modulo _CERT_PRIME.
-
-    Returns (rank, rows consumed, entry updates): the rank mod p, which never
-    exceeds the rank over Q, the number of rows read before it stopped (at
-    the end or once the rank reaches cap), and the number of pivot-row
-    entries applied to incoming rows.
+def _rank_mod_p(rows, cap: int) -> int:
+    """Rank modulo _CERT_PRIME of a list of sparse {column: value} rows,
+    which never exceeds the rank over Q; it stops once the rank reaches cap.
 
     A row left nonzero after reduction becomes a pivot in its rarest column,
     counted over all the input rows, ties going to the lowest column, so few
     later rows meet it and fill-in stays small (Markowitz 1957; LaMacchia
     and Odlyzko 1990).  The pivot row is scaled to make its pivot entry 1
-    and is stored without that entry, negated.  An incoming row is reduced
-    against the pivots in creation order, kept as a heap of creation
-    indices.  This terminates: a pivot row has no entry in the column of any
-    earlier pivot, because it was reduced against all of them, so applying
-    pivot i writes only into columns of later pivots, and each pivot is
-    applied at most once per row.
+    and is stored without that entry, negated.  A pivot row has no entry in
+    the column of any earlier pivot, because it was reduced against all of
+    them, so applying pivot i writes only into columns of later pivots: the
+    writes form an acyclic chain and the reduction of a row terminates in
+    any order.  Reducing against the pivots in creation order, kept as a
+    heap of creation indices, also applies each pivot at most once per row.
     """
     p = _CERT_PRIME
     count = Counter(c for row in rows for c in row)
     order: dict[int, int] = {}  # pivot column -> creation index
     pivots: list[tuple[int, dict[int, int]]] = []
-    consumed = updates = 0
     for row in rows:
-        consumed += 1
         v = {c: y for c, x in row.items() if (y := x % p)}
         heap = [order[c] for c in v if c in order]
         heapify(heap)
@@ -207,7 +202,6 @@ def _rank_mod_p(rows, cap: int) -> tuple[int, int, int]:
             f = v.pop(col, 0)
             if not f:
                 continue
-            updates += len(prow)
             for j, x in prow.items():
                 y = v.get(j)
                 if y is None:
@@ -226,7 +220,7 @@ def _rank_mod_p(rows, cap: int) -> tuple[int, int, int]:
         pivots.append((col, {j: x * neg_inv % p for j, x in v.items()}))
         if len(pivots) == cap:
             break
-    return len(pivots), consumed, updates
+    return len(pivots)
 
 
 def certified_rank(rows, cap: int) -> int:
@@ -238,13 +232,12 @@ def certified_rank(rows, cap: int) -> int:
     certifies the rank whenever the modular rank reaches the cap, whatever
     its pivot order.  That elimination (_rank_mod_p) puts each pivot in the
     rarest column of its row and reduces each incoming row against the
-    pivots in creation order; it terminates because a pivot row has no
-    entry in the column of an earlier pivot.  Otherwise fraction-free
-    Bareiss elimination of the rows, made dense over the columns they use,
-    settles the value.  The result is exact either way; the modular pass
+    pivots in creation order, which applies each pivot at most once per
+    row.  Otherwise fraction-free Bareiss elimination of the rows, made
+    dense over the columns they use, settles the value.  The result is exact either way; the modular pass
     only short-circuits the common full-rank case.
     """
-    if _rank_mod_p(rows, cap)[0] == cap:
+    if _rank_mod_p(rows, cap) == cap:
         return cap
     cols = sorted(set().union(*rows))
     return rank([[row.get(c, 0) for c in cols] for row in rows])

@@ -34,17 +34,17 @@ def sym_square_rank(vectors, dim: int | None = None) -> int:
     v_i v_j; the rank over Q does not depend on that choice of weighting.
     The rank is certified (intlinalg.certified_rank: sparse elimination
     modulo a prime, each pivot in the rarest column of its row, incoming
-    rows reduced against the pivots in creation order, which terminates
-    because no pivot row has an entry in an earlier pivot's column) under
-    the cap comb(s + 1, 2), where s is the dimension of the span of the
-    vectors.  A caller that knows a bound dim on s, such as the rank of a
-    lattice containing the vectors, passes it, and s is certified the same
-    way under the cap dim; without it, s comes from Bareiss elimination.
+    rows reduced against the pivots in creation order, which applies each
+    pivot at most once per row) under the cap comb(s + 1, 2), where s is
+    the dimension of the span of the vectors.  s is certified the same way
+    under the cap dim, a bound that a caller who knows one passes, such as
+    the rank of a lattice containing the vectors; it defaults to the length
+    of the vectors.
     """
     vecs = list(vectors)
     if not vecs:
         raise ValueError("need at least one vector")
-    span = intlinalg.rank(vecs) if dim is None else _sym_power_rank(vecs, 1, dim)
+    span = _sym_power_rank(vecs, 1, len(vecs[0]) if dim is None else dim)
     return _sym_power_rank(vecs, 2, span)
 
 

@@ -1,4 +1,5 @@
 import random
+from heapq import heappop
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
 from unittest import mock
@@ -93,18 +94,17 @@ def faddeev_leverrier(M):
 def dense_rank_mod_p(rows, cap):
     """Dense elimination modulo _CERT_PRIME, the loop the sparse eliminator
     replaced: each row is reduced against every earlier pivot and pivots in
-    its first nonzero column.  Returns (rank, rows consumed, entry updates)
-    like intlinalg._rank_mod_p; a dense update touches every column."""
+    its first nonzero column.  Returns (rank, rows consumed): the rows it
+    read before it stopped, at the end or once the rank reaches cap."""
     p = intlinalg._CERT_PRIME
     pivots = []
-    consumed = updates = 0
+    consumed = 0
     for row in rows:
         consumed += 1
         v = [x % p for x in row]
         for col, prow in pivots:
             f = v[col]
             if f:
-                updates += len(prow)
                 v = [(a - f * b) % p for a, b in zip(v, prow)]
         col = next((j for j, x in enumerate(v) if x), None)
         if col is None:
@@ -113,7 +113,19 @@ def dense_rank_mod_p(rows, cap):
         pivots.append((col, [(a * inv) % p for a in v]))
         if len(pivots) == cap:
             break
-    return len(pivots), consumed, updates
+    return len(pivots), consumed
+
+
+def assert_stops_with_the_dense_loop(rows, cap, dense_result):
+    """The sparse eliminator on rows gives the rank in dense_result, the
+    dense loop's (rank, rows consumed) on the same rows made dense, and the
+    shortest prefix whose sparse rank reaches the cap is the prefix the
+    dense loop read: it does not depend on the pivot order."""
+    r, consumed = dense_result
+    assert intlinalg._rank_mod_p(rows, cap) == r
+    if r == cap:
+        assert (intlinalg._rank_mod_p(rows[:consumed - 1], cap) < cap
+                == intlinalg._rank_mod_p(rows[:consumed], cap))
 
 
 def dense_sym_power_rows(vectors, k):
@@ -227,11 +239,28 @@ mod_p_entry = st.one_of(st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P
 def test_sparse_rank_mod_p_matches_the_dense_loop(rows, offset):
     full = dense_rank_mod_p(dense(rows), -1)[0]
     cap = max(full + offset, 1)
-    r, consumed, _ = intlinalg._rank_mod_p(rows, cap)
-    # the prefix at which the modular rank reaches the cap does not depend
-    # on the pivot order, so both loops stop at the same row
-    assert (r, consumed) == dense_rank_mod_p(dense(rows), cap)[:2]
-    assert r == min(full, cap) <= rank(dense(rows))
+    assert_stops_with_the_dense_loop(rows, cap, dense_rank_mod_p(dense(rows), cap))
+    assert intlinalg._rank_mod_p(rows, cap) == min(full, cap) <= rank(dense(rows))
+
+
+def test_each_pivot_meets_a_row_at_most_once(monkeypatch):
+    # The rarest columns put the first pivot in column 5 and the second in
+    # column 3, and the first pivot row has an entry in column 3.  In
+    # creation order the third row meets each pivot once.  In column order
+    # it would meet the column-3 pivot, then the column-5 one, which writes
+    # into column 3 again, then the column-3 one a second time.  The
+    # trailing rows, never read once the cap is reached, only make column 0
+    # the most common.
+    popped = []
+
+    def recording_heappop(heap):
+        popped.append(heappop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(intlinalg, "heappop", recording_heappop)
+    rows = [{5: 1, 3: 1}, {3: 1, 0: 1}, {5: 1, 3: 2}] + [{0: 1}] * 3
+    assert intlinalg._rank_mod_p(rows, 3) == 3
+    assert popped == [0, 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,13 +298,15 @@ def test_sym_power_rows_relabel_the_dense_flattening(vecs, k):
         assert row == {c: x for c, x in zip(labels, full) if x}
 
 
-# Sym2 ranks of the perfbench analyze specs and of Ld:30; the last four are
-# small enough for Bareiss too
+# Sym2 ranks of the perfbench analyze specs and of Ld:30
 SYM2_RANKS = {
     "Ld:26": 351, "LA:Z/24": 276, "Od:20": 210, "Md:20": 210, "Mneg:Z/30": 136,
     "Ld:30": 465, "T:4": 120, "Craig:q=13,k=2": 78, "Ld:6": 20, "LA:Z/4+Z/2": 26,
 }
-BAREISS_SIZED = ("T:4", "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
+# small enough for the dense loop, the last four for Bareiss too; the --work
+# run below puts the dense loop on every spec
+DENSE_SIZED = ("Mneg:Z/30", "T:4", "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
+BAREISS_SIZED = DENSE_SIZED[1:]
 
 
 def _shortest_vectors(spec):
@@ -285,15 +316,13 @@ def _shortest_vectors(spec):
 
 
 @pytest.mark.parametrize("spec", list(SYM2_RANKS))
-def test_sym2_rank_matches_the_dense_loop(spec):
+def test_sym2_rank_of_the_analyze_specs(spec):
     d, vecs = _shortest_vectors(spec)
-    cap = comb(d + 1, 2)
-    full = dense_sym_power_rows(vecs, 2)
-    r, consumed, updates = intlinalg._rank_mod_p(sym_power_rows(vecs, 2), cap)
-    dense_r, dense_consumed, dense_updates = dense_rank_mod_p(full, cap)
-    assert (r, consumed) == (dense_r, dense_consumed)
-    assert updates < dense_updates
     assert perfection.sym_square_rank(vecs, d) == SYM2_RANKS[spec]
+    if spec in DENSE_SIZED:
+        full = dense_sym_power_rows(vecs, 2)
+        cap = comb(d + 1, 2)
+        assert_stops_with_the_dense_loop(sym_power_rows(vecs, 2), cap, dense_rank_mod_p(full, cap))
     if spec in BAREISS_SIZED:
         assert rank(full) == SYM2_RANKS[spec]
 
@@ -498,10 +527,10 @@ def test_matrix_text_roundtrip():
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python3 tests/test_intlinalg.py --work prints, for the
-    # Sym2 rows of each spec in SYM2_RANKS, the certified rank and the rows
-    # consumed, pivots, entry updates and CPU seconds of the sparse
-    # eliminator and of the dense loop
+    # PYTHONPATH=src python3 tests/test_intlinalg.py --work checks the sparse
+    # eliminator against the dense loop on the Sym2 rows of every spec in
+    # SYM2_RANKS and prints, for each, the certified rank, the rows the
+    # elimination read and the CPU seconds of both loops
     import json
     import sys
     import time
@@ -511,14 +540,17 @@ if __name__ == "__main__":
     for spec in SYM2_RANKS:
         d, vecs = _shortest_vectors(spec)
         cap = comb(d + 1, 2)
-        out = {"spec": spec, "mp": len(vecs), "cap": cap,
-               "certified_rank": perfection.sym_square_rank(vecs, d)}
-        for name, flatten, eliminate in (
-                ("sparse", sym_power_rows, intlinalg._rank_mod_p),
-                ("dense", dense_sym_power_rows, dense_rank_mod_p)):
-            start = time.process_time()
-            pivots, consumed, updates = eliminate(flatten(vecs, 2), cap)
-            out[name] = {"rows_consumed": consumed, "pivots": pivots,
-                         "entry_updates": updates,
-                         "cpu_s": round(time.process_time() - start, 3)}
-        print(json.dumps(out), flush=True)
+        rows, full = sym_power_rows(vecs, 2), dense_sym_power_rows(vecs, 2)
+        start = time.process_time()
+        sparse_rank = intlinalg._rank_mod_p(rows, cap)
+        mid = time.process_time()
+        dense_result = dense_rank_mod_p(full, cap)
+        end = time.process_time()
+        assert_stops_with_the_dense_loop(rows, cap, dense_result)
+        print(json.dumps({
+            "spec": spec, "mp": len(vecs), "cap": cap,
+            "certified_rank": perfection.sym_square_rank(vecs, d),
+            "rows_consumed": dense_result[1],
+            "sparse": {"rank": sparse_rank, "cpu_s": round(mid - start, 3)},
+            "dense": {"rank": dense_result[0], "cpu_s": round(end - mid, 3)},
+        }), flush=True)

@@ -38,7 +38,7 @@ def test_sym_square_rank_L6_L7():
 
 def test_certified_rank_matches_bareiss():
     # the modular certificate must agree with plain fraction-free elimination,
-    # with the span from Bareiss and with the span certified under the rank
+    # with the span capped by the vector length and by the lattice rank
     for spec in ("Ld:6", "Ld:7", "Od:7", "LA:Z/8", "Md:7"):
         lat = families.build_family(spec)
         vecs = lattice.vectors_of_norm(lat, 4).vectors
