@@ -16,6 +16,7 @@ module provides the primitives the rest of the package is built on:
   and s itself has any known bound, such as the rank of a lattice holding
   the vectors or their length,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
+* ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
   61-bit primes and the Chinese remainder theorem.
 """
@@ -265,6 +266,82 @@ def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:
             row[col] = value
         rows.append(row)
     return rows
+
+
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"integral Gram-Schmidt division {a} / {b} is not exact")
+    return q
+
+
+def lll(B) -> tuple[Matrix, list[int], Matrix]:
+    """All-integer LLL reduction with delta = 3/4 (Lenstra, Lenstra and
+    Lovasz 1982), in the form of Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7.
+
+    Returns (b, d, lam): rows b spanning the same lattice as the linearly
+    independent rows of B, with their integral Gram-Schmidt data.  d[i] is
+    the Gram determinant of b[:i] (d[0] = 1), so b*_k, the part of b[k]
+    orthogonal to b[:k], has squared norm d[k+1] / d[k]; and for j < k,
+    lam[k][j] = d[j+1] mu_kj, where mu_kj = <b[k], b*_j> / |b*_j|^2.  These
+    are integers, kept up to date by exact divisions (Sylvester's identity),
+    and each of those divisions is checked.  On return b is size-reduced,
+    2 |lam[k][j]| <= d[j+1], and satisfies the Lovasz condition
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.
+    """
+    n = len(B)
+    b = [list(row) for row in B]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        b[k] = [p - q * s for p, s in zip(b[k], b[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        dk = _exact_div(d[k - 1] * d[k + 1] + m * m, d[k])
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = _exact_div(d[k + 1] * lam[i][k - 1] - m * t, d[k])
+            lam[i][k - 1] = _exact_div(dk * t + m * lam[i][k], d[k + 1])
+        d[k] = dk
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(p * s for p, s in zip(b[k], b[j]))
+                for i in range(j):
+                    u = _exact_div(d[i + 1] * u - lam[k][i] * lam[j][i], d[i])
+                if j < k:
+                    lam[k][j] = u
+                elif u > 0:
+                    d[k + 1] = u
+                else:
+                    raise ValueError("LLL needs linearly independent rows")
+        if not k:
+            k = 1
+            continue
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b, d, lam
 
 
 def gram_det(B) -> int:

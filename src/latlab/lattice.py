@@ -8,13 +8,16 @@ independent ways:
 * ``vectors_of_norm`` walks square patterns of the target norm over supports
   and signs in the ambient space, pruning with interval bounds on the
   equality rows and filtering congruence rows on completed supports;
-* ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over basis
-  coordinates with an exact rational Cholesky decomposition.  Each
-  coordinate x_i adds q_ii (x_i + U)^2 to the partial norm, a convex function
-  of x_i, so the values within budget form an interval around the integer
-  nearest -U: the search walks up from that integer and then down from the
-  one below it, each walk stopping at the first value over budget.  No
-  square root is taken.
+* ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
+  coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
+  integers throughout.  With the basis's integral Gram-Schmidt data d_i and
+  lam_ji, coordinate x_i adds (d_i x_i + S_i)^2 / (d_i d_(i-1)) to the
+  squared norm, where S_i = sum_(j>i) lam_ji x_j.  Scaling every norm by
+  L = lcm(d_i d_(i-1)) makes each weight w_i = L / (d_i d_(i-1)) an integer,
+  so the x_i within the remaining budget R are the one interval
+  |d_i x_i + S_i| <= isqrt(R // w_i).  The reduced basis is internal: the
+  vectors come out in ambient coordinates and ``Lattice.basis`` stays the
+  canonical HNF basis.
 
 The two must agree norm by norm; the test suite leans on that equivalence.
 """
@@ -22,9 +25,7 @@ The two must agree norm by norm; the test suite leans on that equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import count
-from math import isqrt
+from math import isqrt, lcm
 
 from . import intlinalg
 from .errors import ConstructionError
@@ -222,53 +223,48 @@ def has_m_lattice_sidon_property(cs: ConstraintSystem, m: int) -> bool:
 def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVectorSet]:
     """Fincke-Pohst enumeration of all norms <= bound, in ambient coordinates.
 
-    Uses an exact rational Cholesky-type decomposition of the Gram matrix, so
-    the search bounds are sharp and nothing is lost to rounding.  Independent
-    of vectors_of_norm by construction.
+    Searches an LLL-reduced basis using its integral Gram-Schmidt data
+    (intlinalg.lll), in integers throughout, so the search bounds are sharp
+    and nothing is lost to rounding.  Independent of vectors_of_norm by
+    construction.
     """
+    if bound < 1:
+        raise ValueError("norm bound must be positive")
     d = lat.rank
-    G = lat.gram
-    q = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        s = Fraction(G[i][i]) - sum(q[k][k] * q[k][i] ** 2 for k in range(i))
-        if s <= 0:
-            raise ArithmeticError("Gram matrix must be positive definite")
-        q[i][i] = s
-        for j in range(i + 1, d):
-            t = Fraction(G[i][j]) - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))
-            q[i][j] = t / s
+    # lll raises unless the Gram matrix of the basis is positive definite
+    basis, dets, lam = intlinalg.lll(lat.basis)
+    # level i contributes (dets[i+1] x_i + S_i)^2 / (dets[i+1] dets[i]) with
+    # S_i = sum_{j>i} lam[j][i] x_j; scaled by L, its weight is the integer w[i]
+    scale = lcm(*(dets[i] * dets[i + 1] for i in range(d)))
+    w = [scale // (dets[i] * dets[i + 1]) for i in range(d)]
+    budget = bound * scale
 
     buckets: dict[int, set[tuple[int, ...]]] = {m: set() for m in range(1, bound + 1)}
     x = [0] * d
-    budget = Fraction(bound)
 
-    def descend(i: int, used: Fraction) -> None:
-        U = sum((q[i][j] * x[j] for j in range(i + 1, d)), Fraction(0))
-        un, ud = U.numerator, U.denominator
-        # (x_i + U)^2 <= R tested in integers; the x_i passing it form an
-        # interval around floor(1/2 - U), the integer nearest -U
-        R = (budget - used) / q[i][i]
-        lhs, rhs = R.denominator, R.numerator * ud * ud
-        start = (ud - 2 * un) // (2 * ud)
-        for walk in (count(start), count(start - 1, -1)):
-            for xi in walk:
-                if lhs * (ud * xi + un) ** 2 > rhs:
-                    break
-                x[i] = xi
-                used_i = used + q[i][i] * (xi + U) ** 2
-                if i:
-                    descend(i - 1, used_i)
-                elif any(x):
-                    norm = int(used_i)
-                    if used_i != norm or not 1 <= norm <= bound:
-                        raise ArithmeticError(f"oracle reached norm {used_i} outside 1..{bound}")
-                    amb = [0] * lat.ambient_dim
-                    for c, row in zip(x, lat.basis):
-                        if c:
-                            for t, b in enumerate(row):
-                                amb[t] += c * b
-                    buckets[norm].add(sign_canonical(amb))
+    def descend(i: int, used: int) -> None:
+        S = sum(lam[j][i] * x[j] for j in range(i + 1, d))
+        di = dets[i + 1]
+        # w[i] t^2 <= budget - used for the integer t = di x_i + S
+        r = isqrt((budget - used) // w[i])
+        for xi in range(-((r + S) // di), (r - S) // di + 1):
+            x[i] = xi
+            t = di * xi + S
+            used_i = used + w[i] * t * t
+            if i:
+                descend(i - 1, used_i)
+            elif any(x):
+                norm, rest = divmod(used_i, scale)
+                if rest or not 1 <= norm <= bound:
+                    raise ArithmeticError(
+                        f"oracle reached norm {used_i}/{scale} outside 1..{bound}")
+                amb = [0] * lat.ambient_dim
+                for c, row in zip(x, basis):
+                    if c:
+                        for s, y in enumerate(row):
+                            amb[s] += c * y
+                buckets[norm].add(sign_canonical(amb))
         x[i] = 0
 
-    descend(d - 1, Fraction(0))
+    descend(d - 1, 0)
     return {m: MinimalVectorSet(m, tuple(sorted(vs))) for m, vs in buckets.items()}

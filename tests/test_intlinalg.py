@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from heapq import heappop
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
@@ -19,6 +20,7 @@ from latlab.intlinalg import (
     hnf,
     identity,
     kernel_basis,
+    lll,
     mat_mul,
     rank,
     sym_power_rows,
@@ -34,25 +36,50 @@ def nonzero_rows(M):
     return [list(row) for row in M if any(row)]
 
 
-def in_row_span_hnf(H, v) -> bool:
-    """Membership of v in the integer row span of an HNF matrix H."""
+def hnf_coordinates(H, v):
+    """Integer coefficients of v over the nonzero rows of an HNF matrix H,
+    or None when v is not in their integer row span."""
     w = list(v)
-    pivots = {}
-    for row in H:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            pivots[c] = row
+    rows = nonzero_rows(H)
+    pivots = {next(j for j, x in enumerate(row) if x): i for i, row in enumerate(rows)}
+    coeffs = [0] * len(rows)
     for c in range(len(w)):
         x = w[c]
         if not x:
             continue
-        row = pivots.get(c)
-        if row is None or x % row[c]:
-            return False
-        q = x // row[c]
+        i = pivots.get(c)
+        if i is None or x % rows[i][c]:
+            return None
+        q = coeffs[i] = x // rows[i][c]
         for j in range(c, len(w)):
-            w[j] -= q * row[j]
-    return not any(w)
+            w[j] -= q * rows[i][j]
+    return coeffs
+
+
+def in_row_span_hnf(H, v) -> bool:
+    """Membership of v in the integer row span of an HNF matrix H."""
+    return hnf_coordinates(H, v) is not None
+
+
+def rational_gram_schmidt(b):
+    """(d, lam) of intlinalg.lll for independent rows b, by classical
+    Gram-Schmidt over the rationals: d[i] is the product of the squared
+    norms of b*_0 .. b*_(i-1) and lam[k][j] = d[j+1] mu_kj."""
+    n = len(b)
+    star, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for k, row in enumerate(b):
+        v = [Fraction(x) for x in row]
+        for j in range(k):
+            mu[k][j] = sum(x * y for x, y in zip(row, star[j])) / norms[j]
+            v = [x - mu[k][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    d = [Fraction(1)]
+    for q in norms:
+        d.append(d[-1] * q)
+    lam = [[d[j + 1] * mu[k][j] if j < k else 0 for j in range(n)] for k in range(n)]
+    return d, lam
 
 
 def poly_eval_matrix(coeffs, M):
@@ -471,6 +498,31 @@ def test_prime_list():
     assert primes == [sympy.prevprime(q) for q in [1 << 61] + primes[:-1]]
 
 
+def test_hnf_det_rank_and_char_poly_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(11)
+
+    def matrix(r, c):
+        return [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(c)]
+                for _ in range(r)]
+
+    for _ in range(150):
+        M = matrix(rng.randint(1, 5), rng.randint(1, 5))
+        assert rank(M) == sympy.Matrix(M).rank(), M
+        # sympy's HNF is the column form (Cohen Alg. 2.4.5) of the column
+        # lattice; on the transpose with coordinates reversed, and read back
+        # reversed, it is the row form that hnf computes
+        if any(map(any, M)):
+            cols = hermite_normal_form(sympy.Matrix([row[::-1] for row in M]).T)
+            assert nonzero_rows(hnf(M)) == [row[::-1] for row in cols.T.tolist()][::-1], M
+        n = rng.randint(1, 6)
+        Q = matrix(n, n)
+        assert bareiss_det(Q) == sympy.Matrix(Q).det(method="berkowitz"), Q
+        assert char_poly(Q) == sympy.Matrix(Q).charpoly().all_coeffs(), Q
+
+
 def test_miller_rabin():
     is_prime = intlinalg._is_prime
     small = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
@@ -480,6 +532,71 @@ def test_miller_rabin():
     assert not is_prime(561)
     assert is_prime((1 << 61) - 1) and is_prime((1 << 89) - 1)
     assert not is_prime((1 << 61) + 1)
+
+
+def assert_lll_output(B, b, d, lam):
+    """b spans the rows of B, (d, lam) is its Gram-Schmidt data, and b is
+    size-reduced and meets the Lovasz condition with delta = 3/4, all checked
+    in exact integers."""
+    n = len(B)
+    assert len(b) == n and nonzero_rows(hnf(b)) == nonzero_rows(hnf(B))
+    assert (d, lam) == rational_gram_schmidt(b)
+    assert all(x > 0 for x in d)
+    for k in range(n):
+        for j in range(k):
+            assert 2 * abs(lam[k][j]) <= d[j + 1], (k, j)
+        if k:
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2, k
+
+
+LLL_SPECS = ("Ld:12", "Od:12", "Md:9:excl=1", "LA:Z/13", "Mneg:Z/16", "T:3",
+             "Craig:q=11,k=3", "SidonInv:q=11", "Sidon:Z/7:set=0,1,3")
+
+
+@pytest.mark.parametrize("spec", LLL_SPECS)
+def test_lll_of_a_lattice_basis(spec):
+    lat = families.build_family(families.parse_family(spec, strict=False))
+    b, d, lam = lll(lat.basis)
+    assert_lll_output(lat.basis, b, d, lam)
+    assert nonzero_rows(hnf(b)) == [list(row) for row in lat.basis]
+    assert d[-1] == lat.det
+    # b = T basis: T is integral because each row of b lies in the lattice,
+    # and unimodular
+    T = [hnf_coordinates(lat.basis, row) for row in b]
+    assert None not in T
+    assert abs(bareiss_det(T)) == 1
+    assert mat_mul(T, lat.basis) == b
+
+
+independent_rows = st.integers(1, 5).flatmap(
+    lambda r: st.integers(r, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-30, 30), min_size=c, max_size=c),
+            min_size=r, max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_rows)
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[0, 0]])
+@example([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+@example([[1, 1], [1, 0]])  # the second row is shorter: one swap
+def test_lll_reduces_or_rejects_dependent_rows(B):
+    if rank(B) < len(B):
+        with pytest.raises(ValueError, match="linearly independent"):
+            lll(B)
+        return
+    assert_lll_output(B, *lll(B))
+
+
+def test_lll_inexact_division_raises(monkeypatch):
+    # a divmod reporting a remainder on every division, seen by intlinalg alone
+    monkeypatch.setattr(intlinalg, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        lll([[1, 2, 3], [3, 1, 2], [2, 3, 1]])
 
 
 def test_kernel_sum_zero():

@@ -1,12 +1,19 @@
 import json
 import random
+from fractions import Fraction
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import ORACLE_SPECS
 
 from latlab import cli, families, intlinalg
 from latlab.errors import ConstructionError
 from latlab.lattice import (
     ConstraintSystem,
+    Lattice,
+    MinimalVectorSet,
     build,
     contains,
     enumerate_by_basis_oracle,
@@ -94,6 +101,96 @@ def test_det_invariant_under_unimodular_change():
                 for t in range(len(B)):
                     U[i][t] += c * U[j][t]
         assert intlinalg.gram_det(intlinalg.mat_mul(U, B)) == lat.det
+
+
+def fraction_cholesky_oracle(lat, bound):
+    """The Fincke-Pohst oracle as it was before LLL: a search over the HNF
+    basis with an exact rational Cholesky decomposition of the Gram matrix.
+    Coordinate x_i adds q_ii (x_i + U)^2 to the partial norm, so the values
+    within budget form an interval around the integer nearest -U, walked up
+    from it and then down from the one below it."""
+    d = lat.rank
+    G = lat.gram
+    q = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        s = Fraction(G[i][i]) - sum(q[k][k] * q[k][i] ** 2 for k in range(i))
+        if s <= 0:
+            raise ArithmeticError("Gram matrix must be positive definite")
+        q[i][i] = s
+        for j in range(i + 1, d):
+            t = Fraction(G[i][j]) - sum(q[k][k] * q[k][i] * q[k][j] for k in range(i))
+            q[i][j] = t / s
+
+    buckets = {m: set() for m in range(1, bound + 1)}
+    x = [0] * d
+    budget = Fraction(bound)
+
+    def descend(i, used):
+        U = sum((q[i][j] * x[j] for j in range(i + 1, d)), Fraction(0))
+        un, ud = U.numerator, U.denominator
+        R = (budget - used) / q[i][i]
+        lhs, rhs = R.denominator, R.numerator * ud * ud
+        start = (ud - 2 * un) // (2 * ud)
+        for walk in (count(start), count(start - 1, -1)):
+            for xi in walk:
+                if lhs * (ud * xi + un) ** 2 > rhs:
+                    break
+                x[i] = xi
+                used_i = used + q[i][i] * (xi + U) ** 2
+                if i:
+                    descend(i - 1, used_i)
+                elif any(x):
+                    norm = int(used_i)
+                    if used_i != norm or not 1 <= norm <= bound:
+                        raise ArithmeticError(f"oracle reached norm {used_i} outside 1..{bound}")
+                    amb = [0] * lat.ambient_dim
+                    for c, row in zip(x, lat.basis):
+                        for t, b in enumerate(row):
+                            amb[t] += c * b
+                    buckets[norm].add(sign_canonical(amb))
+        x[i] = 0
+
+    descend(d - 1, Fraction(0))
+    return {m: MinimalVectorSet(m, tuple(sorted(vs))) for m, vs in buckets.items()}
+
+
+def test_oracle_matches_the_fraction_cholesky_reference():
+    checked = 0
+    for spec in ORACLE_SPECS:
+        lat = families.build_family(families.parse_family(spec, strict=False))
+        if lat.rank <= 10:
+            assert enumerate_by_basis_oracle(lat, 8) == fraction_cholesky_oracle(lat, 8), spec
+            checked += 1
+    assert checked == 13
+
+
+def test_oracle_rejects_a_bound_below_one():
+    lat = families.build_family("Ld:6")
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="norm bound must be positive"):
+            enumerate_by_basis_oracle(lat, bound)
+
+
+def test_oracle_rejects_a_dependent_basis():
+    cs = _cs(2, [])
+    lat = Lattice(cs, basis=((1, 1), (2, 2)), gram=((2, 4), (4, 8)), det=0)
+    with pytest.raises(ValueError, match="linearly independent"):
+        enumerate_by_basis_oracle(lat, 4)
+
+
+def test_oracle_checks_each_norm_it_reaches(monkeypatch):
+    # Gram-Schmidt data that no longer match the basis give scaled norms
+    # that are not multiples of L, and the leaf check must refuse them
+    real_lll = intlinalg.lll
+
+    def skewed_lll(B):
+        b, d, lam = real_lll(B)
+        lam[1][0] += 1
+        return b, d, lam
+
+    monkeypatch.setattr(intlinalg, "lll", skewed_lll)
+    with pytest.raises(ArithmeticError, match="oracle reached norm"):
+        enumerate_by_basis_oracle(families.build_family("Ld:6"), 4)
 
 
 def test_oracle_2z_squared():
@@ -211,3 +308,49 @@ def test_lattice_json_uses_decimal_strings(capsys):
     assert cli.main(["minvec", "Ld:7", "--norm", "4"]) == 0
     mj = json.loads(capsys.readouterr().out)
     assert mj["count"] == "34" and mj["norm"] == "4"
+
+
+@st.composite
+def constraint_systems(draw):
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(0, 12)),
+        min_size=1, max_size=3))
+    return _cs(n, rows)
+
+
+def _rational_det(M):
+    """Determinant by Gaussian elimination over the rationals."""
+    A = [[Fraction(x) for x in row] for row in M]
+    n, det = len(A), Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det *= A[c][c]
+        for i in range(c + 1, n):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems())
+def test_random_systems_enumeration_matches_the_oracle(cs):
+    try:
+        lat = build(cs)
+    except ConstructionError:
+        # only equality rows of full rank leave nothing: any modulus m > 0
+        # keeps m times the kernel of the equality rows
+        assert intlinalg.rank([w for w, m in cs.rows if m == 0]) == cs.ambient_dim
+        return
+    assert all(cs.satisfied_by(row) for row in lat.basis)
+    assert lat.det == _rational_det(intlinalg.gram_matrix(lat.basis))
+    oracle = enumerate_by_basis_oracle(lat, 6)
+    for m in range(1, 7):
+        mvs = vectors_of_norm(lat, m)
+        assert oracle[m] == mvs, m
+        assert all(contains(lat, v) for v in mvs.vectors)
