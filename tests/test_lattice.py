@@ -104,8 +104,8 @@ def test_det_invariant_under_unimodular_change():
 
 
 def fraction_cholesky_oracle(lat, bound):
-    """The Fincke-Pohst oracle as it was before LLL: a search over the HNF
-    basis with an exact rational Cholesky decomposition of the Gram matrix.
+    """Reference Fincke-Pohst search over the HNF basis, with an exact
+    rational Cholesky decomposition of the Gram matrix and no reduction.
     Coordinate x_i adds q_ii (x_i + U)^2 to the partial norm, so the values
     within budget form an interval around the integer nearest -U, walked up
     from it and then down from the one below it."""
