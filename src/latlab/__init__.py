@@ -13,6 +13,7 @@ from .families import (
     FamilySpec,
     FormulaReport,
     build_family,
+    craig_count_closed,
     craig_count_k2_closed,
     craig_count_k3_closed,
     craig_pair_count,

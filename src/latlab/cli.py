@@ -2,10 +2,14 @@
 
 Subcommands: build, analyze, minvec, verify, table, scan-D, graph, craig.
 Output is JSON by default (every integer rendered as a decimal string) or
-CSV with --format csv.  Exit codes: 0 success / agreement, 1 verified
-mismatch, 2 usage error, 3 construction error.  Parallelism for row-based
-commands comes from --jobs or the LATLAB_JOBS environment variable; output
-is byte-identical for every parallelism degree.
+CSV with --format csv.  Each _cmd_* function returns (exit code, JSON
+object, CSV tables as (header, rows) pairs); main is the one place that
+renders a result, so no command chooses a format.  graph alone prints its
+adjacency matrix first and returns no CSV tables: it gets JSON whatever the
+format.  Exit codes: 0 success / agreement, 1 verified mismatch, 2 usage
+error, 3 construction error.  Parallelism for row-based commands comes from
+--jobs or the LATLAB_JOBS environment variable; output is byte-identical for
+every parallelism degree.
 """
 
 from __future__ import annotations
@@ -70,89 +74,64 @@ def _emit_csv(header, rows) -> None:
     print(buf.getvalue(), end="")
 
 
-def _cmd_build(args, cfg: RunConfig) -> int:
+def _cmd_build(args, cfg: RunConfig):
     spec = families.parse_family(args.spec)
     lat = families.build_family(spec)
-    if cfg.format == "csv":
-        rows = [("rank", str(lat.rank)), ("det", str(lat.det))]
-        rows += [("basis", *map(str, row)) for row in lat.basis]
-        _emit_csv(("field", "values"), rows)
-    else:
-        cs = lat.constraints
-        _emit_json({"family": str(spec), "labels": cs.labels,
-                    "rows": [{"weights": w, "modulus": m} for w, m in cs.rows],
-                    "rank": lat.rank, "det": lat.det, "basis": lat.basis, "gram": lat.gram})
-    return EXIT_OK
+    cs = lat.constraints
+    obj = {"family": str(spec), "labels": cs.labels,
+           "rows": [{"weights": w, "modulus": m} for w, m in cs.rows],
+           "rank": lat.rank, "det": lat.det, "basis": lat.basis, "gram": lat.gram}
+    rows = [("rank", lat.rank), ("det", lat.det)] + [("basis", *row) for row in lat.basis]
+    return EXIT_OK, obj, [(("field", "values"), rows)]
 
 
-def _cmd_analyze(args, cfg: RunConfig) -> int:
+def _cmd_analyze(args, cfg: RunConfig):
     spec = families.parse_family(args.spec)
     report = perfection.perfection_report(families.build_family(spec), cfg.norm_cap)
-    if cfg.format == "csv":
-        _emit_csv(
-            ("family", "d", "det", "min", "mp", "sym_rank", "pd"),
-            [(str(spec), report.d, report.det, report.min_norm,
-              report.mp, report.sym_rank, report.pd)],
-        )
-    else:
-        _emit_json({"family": str(spec), "params": spec.params_json(), "d": report.d,
-                    "det": report.det, "min": report.min_norm, "mp": report.mp,
-                    "sym_rank": report.sym_rank, "pd": report.pd})
-    return EXIT_OK
+    obj = {"family": str(spec), "params": spec.params_json(), "d": report.d,
+           "det": report.det, "min": report.min_norm, "mp": report.mp,
+           "sym_rank": report.sym_rank, "pd": report.pd}
+    row = (str(spec), report.d, report.det, report.min_norm, report.mp, report.sym_rank, report.pd)
+    return EXIT_OK, obj, [(("family", "d", "det", "min", "mp", "sym_rank", "pd"), [row])]
 
 
-def _cmd_minvec(args, cfg: RunConfig) -> int:
-    spec = families.parse_family(args.spec)
-    lat = families.build_family(spec)
+def _cmd_minvec(args, cfg: RunConfig):
+    lat = families.build_family(families.parse_family(args.spec))
     mvs = lattice.vectors_of_norm(lat, args.norm)
-    if cfg.format == "csv":
-        _emit_csv(("norm", "count"), [(mvs.norm, mvs.count)])
-        _emit_csv(("vector",), [tuple(map(str, v)) for v in mvs.vectors])
-    else:
-        _emit_json({"norm": mvs.norm, "count": mvs.count, "vectors": mvs.vectors})
-    return EXIT_OK
+    obj = {"norm": mvs.norm, "count": mvs.count, "vectors": mvs.vectors}
+    return EXIT_OK, obj, [(("norm", "count"), [(mvs.norm, mvs.count)]),
+                          (("vector",), mvs.vectors)]
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
-    spec = families.parse_family(args.spec)
-    report = families.verify_formula(spec)
-    if cfg.format == "csv":
-        _emit_csv(
-            ("family", "quantity", "formula_value", "enumerated_value", "agree"),
-            [(report.family, report.quantity, report.formula_value,
-              report.enumerated_value, str(report.agree).lower())],
-        )
-    else:
-        _emit_json({**vars(report), "agree": report.agree})
-    return EXIT_OK if report.agree else EXIT_MISMATCH
+def _cmd_verify(args, cfg: RunConfig):
+    report = families.verify_formula(families.parse_family(args.spec))
+    obj = {**vars(report), "agree": report.agree}
+    header = ("family", "quantity", "formula_value", "enumerated_value", "agree")
+    row = (report.family, report.quantity, report.formula_value, report.enumerated_value,
+           str(report.agree).lower())
+    return EXIT_OK if report.agree else EXIT_MISMATCH, obj, [(header, [row])]
 
 
-def _cmd_table(args, cfg: RunConfig) -> int:
+def _cmd_table(args, cfg: RunConfig):
     report = tables.run_table(args.table_id, jobs=cfg.jobs)
-    if cfg.format == "csv":
-        _emit_csv(report.header, report.rows)
-        _emit_csv(("row", "field", "expected", "got"),
-                  [(d.row, d.field, d.expected, d.got) for d in report.diffs])
-    else:
-        _emit_json({"table": report.table_id, "header": report.header, "rows": report.rows,
-                    "diffs": [vars(d) for d in report.diffs], "ok": report.ok})
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    obj = {"table": report.table_id, "header": report.header, "rows": report.rows,
+           "diffs": [vars(d) for d in report.diffs], "ok": report.ok}
+    diffs = [(d.row, d.field, d.expected, d.got) for d in report.diffs]
+    return (EXIT_OK if report.ok else EXIT_MISMATCH, obj,
+            [(report.header, report.rows), (("row", "field", "expected", "got"), diffs)])
 
 
-def _cmd_scan_d(args, cfg: RunConfig) -> int:
+def _cmd_scan_d(args, cfg: RunConfig):
     excl = families.parse_excl("Ld", args.excl) if args.excl else ()
     result = perfection.scan_D(excl, args.dmax, jobs=cfg.jobs)
     D = "unresolved" if result.D is None else result.D
-    if cfg.format == "csv":
-        _emit_csv(("excl", "d_max", "D", "perfect_ds"),
-                  [(args.excl or "-", result.d_max, D, " ".join(map(str, result.perfect_ds)))])
-    else:
-        _emit_json({"excl": result.excl, "d_max": result.d_max, "tail_bound": result.bound,
-                    "perfect_ds": result.perfect_ds, "failures": result.failures, "D": D})
-    return EXIT_OK
+    obj = {"excl": result.excl, "d_max": result.d_max, "tail_bound": result.bound,
+           "perfect_ds": result.perfect_ds, "failures": result.failures, "D": D}
+    row = (args.excl or "-", result.d_max, D, " ".join(map(str, result.perfect_ds)))
+    return EXIT_OK, obj, [(("excl", "d_max", "D", "perfect_ds"), [row])]
 
 
-def _cmd_graph(args, cfg: RunConfig) -> int:
+def _cmd_graph(args, cfg: RunConfig):
     spec = families.parse_family(args.spec)
     lat = families.build_family(spec)
     if args.norm is not None:
@@ -172,29 +151,20 @@ def _cmd_graph(args, cfg: RunConfig) -> int:
     info = {"vertices": graph.order, "degrees": dict(sorted(Counter(graph.degrees()).items())),
             "spectrum": graph.spectrum(), "srg": graph.srg_parameters()}
     print(format_matrix([list(r) for r in graph.adjacency]), end="")
-    _emit_json(info)
-    return EXIT_OK
+    return EXIT_OK, info, None
 
 
-def _cmd_craig(args, cfg: RunConfig) -> int:
+def _cmd_craig(args, cfg: RunConfig):
     q, k = args.q, args.k
     if args.method == "formula":
-        if k == 2:
-            value = families.craig_count_k2_closed(q)
-        elif k == 3:
-            value = families.craig_count_k3_closed(q)
-        else:
-            raise SpecError("no closed form for this k")
+        value = families.craig_count_closed(q, k)
     elif args.method == "histogram":
         value = families.craig_pair_count(q, k)
     else:
         lat = families.build_family(families.FamilySpec("Craig", q=q, k=k))
         value = lattice.vectors_of_norm(lat, 2 * (k + 1)).count
-    if cfg.format == "csv":
-        _emit_csv(("q", "k", "method", "value"), [(q, k, args.method, value)])
-    else:
-        _emit_json({"q": q, "k": k, "method": args.method, "value": value})
-    return EXIT_OK
+    obj = {"q": q, "k": k, "method": args.method, "value": value}
+    return EXIT_OK, obj, [(("q", "k", "method", "value"), [(q, k, args.method, value)])]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,15 +243,23 @@ def main(argv=None) -> int:
                            if hasattr(args, f.name)})
         for flag, value in (("--jobs", cfg.jobs), ("--norm-cap", cfg.norm_cap),
                             ("--norm", getattr(args, "norm", None)),
-                            ("--k", getattr(args, "k", None))):
+                            ("--k", getattr(args, "k", None)),
+                            ("--dmax", getattr(args, "dmax", None))):
             if value is not None and value < 1:
                 raise SpecError(f"{flag} must be at least 1")
-        return args.func(args, cfg)
+        code, obj, csv_tables = args.func(args, cfg)
     except (SpecError, ConstructionError) as exc:
         # bad input is signalled by these two types alone; any other
         # exception is a bug and surfaces as a traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, SpecError) else EXIT_CONSTRUCTION
+    # the one place a command's result reaches stdout
+    if cfg.format == "csv" and csv_tables is not None:
+        for header, rows in csv_tables:
+            _emit_csv(header, rows)
+    else:
+        _emit_json(obj)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .errors import ConstructionError, SpecError
 from .fields import FiniteField, field_for_order
 from .groups import (FinAbelianGroup, factorize, is_sidon, mod_negation_reps, parse_group,
                      two_torsion_rank)
+from .intlinalg import _exact_div
 from .lattice import ConstraintSystem, Lattice
 
 # each family tag and the most ':' separated parts its spec takes
@@ -322,13 +323,6 @@ def build_family(spec: FamilySpec | str) -> Lattice:
     return lattice.build(make(spec))
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
-
-
 def det_formula(spec: FamilySpec) -> int:
     """Closed-form determinant, for the families that have one."""
     tag, d = spec.tag, spec.d
@@ -415,21 +409,30 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _craig_field(q_or_field: int | FiniteField, k: int) -> FiniteField:
+def _craig_field(q: int, k: int) -> FiniteField:
     """The field of a power-sum kernel of order k, which must lie below its
     characteristic."""
-    field = q_or_field if isinstance(q_or_field, FiniteField) else field_for_order(q_or_field)
+    field = field_for_order(q)
     if k >= field.p:
         raise ConstructionError("k must be smaller than the field characteristic")
     return field
 
 
-def craig_pair_count(q_or_field: int | FiniteField, k: int) -> int:
+def craig_pair_count(q: int, k: int) -> int:
     """Pairs of norm-2(k+1) vectors, summed from the distinct-root histogram."""
     from .fields import distinct_root_histogram
 
-    hist = distinct_root_histogram(_craig_field(q_or_field, k), k)
+    hist = distinct_root_histogram(_craig_field(q, k), k)
     return sum(n * (n - 1) // 2 for n in hist.values())
+
+
+def craig_count_closed(q: int, k: int) -> int:
+    """The closed-form shortest-vector pair count, for k = 2 and k = 3."""
+    if k == 2:
+        return craig_count_k2_closed(q)
+    if k == 3:
+        return craig_count_k3_closed(q)
+    raise SpecError("no closed form for this k")
 
 
 def craig_count_k2_closed(q: int) -> int:

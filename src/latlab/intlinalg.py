@@ -271,7 +271,7 @@ def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise ArithmeticError(f"integral Gram-Schmidt division {a} / {b} is not exact")
+        raise ArithmeticError(f"{a} / {b} is not exact")
     return q
 
 

@@ -178,11 +178,11 @@ class ScanResult:
 
 
 def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], spread over `jobs` worker processes."""
+    """[fn(item) for item in items], spread over min(jobs, len(items)) processes."""
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

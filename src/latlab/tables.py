@@ -136,9 +136,7 @@ def _scan_row(a1: int) -> tuple[str, int]:
 
 def _craig_row(args) -> tuple[str, int, int]:
     q, k = args
-    closed = families.craig_count_k2_closed(q) if k == 2 else families.craig_count_k3_closed(q)
-    histogram = families.craig_pair_count(q, k)
-    return str(q), closed, histogram
+    return str(q), families.craig_count_closed(q, k), families.craig_pair_count(q, k)
 
 
 def run_table(table_id: str, jobs: int = 1) -> TableReport:

@@ -171,6 +171,14 @@ def test_jobs_do_not_change_output(capsys, monkeypatch):
     assert (code1, out1) == (code3, out3)
 
 
+def test_jobs_beyond_any_pool_size(capsys):
+    # the pool never starts more workers than there are rows, so a --jobs
+    # too large for a process pool to take still runs the 9 rows of O8
+    code1, out1, _ = run_cli(capsys, "--jobs", "1", "table", "O8")
+    code2, out2, err = run_cli(capsys, "table", "O8", "--jobs", "1000000000000000000000")
+    assert (code2, out2, err) == (0, out1, "") and code1 == 0
+
+
 def test_repeat_runs_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "LA:Z/8")
     _, out2, _ = run_cli(capsys, "analyze", "LA:Z/8")
@@ -199,6 +207,9 @@ def test_bad_jobs_value(capsys):
     ("build", "Craig:q=7,k=2,z=1"),
     ("build", "SidonInv:q=11,k=2"),
     ("build", "Craig:q=7,k=2,q=11"),
+    ("craig", "--q", "7", "--k", "4"),  # no closed form for k = 4
+    ("scan-D", "--dmax", "0"),
+    ("scan-D", "--dmax", "-3"),
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     name, _, value = argv[0].partition("=")

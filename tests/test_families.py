@@ -5,6 +5,7 @@ from latlab.errors import ConstructionError, SpecError
 from latlab.families import (
     FamilySpec,
     build_family,
+    craig_count_closed,
     craig_count_k2_closed,
     craig_count_k3_closed,
     craig_pair_count,
@@ -158,6 +159,14 @@ def test_craig_pair_count_matches_closed_forms_small():
         assert craig_pair_count(q, 2) == craig_count_k2_closed(q)
     assert craig_pair_count(7, 3) == craig_count_k3_closed(7)
     assert craig_pair_count(11, 3) == craig_count_k3_closed(11)
+
+
+def test_craig_count_closed_dispatches_on_k():
+    assert craig_count_closed(13, 2) == craig_count_k2_closed(13) == 156
+    assert craig_count_closed(13, 3) == craig_count_k3_closed(13) == 39
+    for k in (1, 4):
+        with pytest.raises(SpecError, match="no closed form"):
+            craig_count_closed(13, k)
 
 
 def test_craig_convexity_lower_bound():
