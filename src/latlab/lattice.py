@@ -7,7 +7,9 @@ independent ways:
 
 * ``vectors_of_norm`` walks square patterns of the target norm over supports
   and signs in the ambient space, pruning with interval bounds on the
-  equality rows and filtering congruence rows on completed supports;
+  equality rows, and finds the last two placements by lookup in tables
+  keyed by what a coordinate or a pair of coordinates adds to the row sums,
+  so congruence rows prune at those two levels as well;
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
   coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
   integers throughout.  With the basis's integral Gram-Schmidt data d_i and
@@ -24,7 +26,9 @@ The two must agree norm by norm; the test suite leans on that equivalence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
 from math import isqrt, lcm
 
 from . import intlinalg
@@ -138,65 +142,105 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     Enumerates square patterns of m, then supports in increasing coordinate
     order, then signs (the first support coordinate is forced positive).
     Equality rows prune partial assignments through interval bounds on what
-    the unplaced values can still contribute; congruence rows are checked
-    once a support is complete.
+    the unplaced values can still contribute.  The last two placements are
+    looked up, not searched.  A coordinate idx holding signed value s has
+    the key (w[idx] s for each equality row, w[idx] s mod q for each
+    congruence row of modulus q), and the walk carries every row's running
+    sum, so the coordinates still to place must have the summed key
+    (-sums, -sums mod q).  A table from that key to the sorted index tuples
+    (i < j for two values) holding a given tuple of signed values is built
+    the first time the walk needs it and lives for this call only.  So
+    congruence rows prune at the last two levels instead of being checked on
+    complete supports.
     """
     if m < 1:
         raise ValueError("norm must be positive")
     cs = lat.constraints
     n = cs.ambient_dim
-    zrows = [w for w, mod in cs.rows if mod == 0]
-    modrows = [(w, mod) for w, mod in cs.rows if mod > 0]
+    # equality rows first: only they have interval bounds
+    rows = sorted(cs.rows, key=lambda row: row[1] > 0)
+    mods = [mod for _, mod in rows]
+    nz = mods.count(0)
+    cols = [[w[idx] for w, _ in rows] for idx in range(n)]
     sufmax = []
-    for w in zrows:
+    for w, _ in rows[:nz]:
         sm = [0] * (n + 1)
         for j in range(n - 1, -1, -1):
             sm[j] = max(sm[j + 1], abs(w[j]))
         sufmax.append(sm)
-    nz = len(zrows)
-    found: list[tuple[int, ...]] = []
+    tables: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
 
+    def table(signs: tuple[int, ...]) -> dict:
+        if signs not in tables:
+            tab = tables[signs] = {}
+            for idxs in combinations(range(n), len(signs)):
+                key = []
+                for t, mod in enumerate(mods):
+                    x = sum(cols[i][t] * s for i, s in zip(idxs, signs))
+                    key.append(x % mod if mod else x)
+                tab.setdefault(tuple(key), []).append(idxs)
+        return tables[signs]
+
+    def lookups(left: list[int], root: bool) -> list:
+        # the (signs, table) pairs that place the values left in every order
+        # and sign; with nothing placed yet, the lowest index is the first
+        # support coordinate and takes the positive sign
+        out = []
+        for order in set(permutations(left)):
+            for signs in product(*((v, -v) for v in order)):
+                if not (root and signs[0] < 0):
+                    out.append((signs, table(signs)))
+        return out
+
+    found: list[tuple[int, ...]] = []
     for pattern in square_patterns(m):
         if len(pattern) > n:
             continue
         vals = sorted(set(pattern), reverse=True)
         remaining = {v: pattern.count(v) for v in vals}
         picks: list[tuple[int, int]] = []
-        zsums = [0] * nz
+        sums = [0] * len(rows)
+        # (unplaced counts, nothing placed yet) -> the lookups finishing a walk
+        plans: dict[tuple, list] = {}
 
         def place(lo: int, need: int, remsum: int) -> None:
-            if not need:
-                if any(zsums):
-                    return
-                for w, mod in modrows:
-                    if sum(w[i] * x for i, x in picks) % mod:
-                        return
-                vec = [0] * n
-                for i, x in picks:
-                    vec[i] = x
-                found.append(tuple(vec))
+            if need <= 2:
+                state = (tuple(remaining.values()), not picks)
+                plan = plans.get(state)
+                if plan is None:
+                    left = [v for v in vals for _ in range(remaining[v])]
+                    plan = plans[state] = lookups(left, not picks)
+                target = tuple([(-x) % mod if mod else -x for x, mod in zip(sums, mods)])
+                for signs, tab in plan:
+                    hits = tab.get(target)
+                    if hits:
+                        for idxs in hits[bisect_left(hits, (lo,)):]:
+                            vec = [0] * n
+                            for i, x in picks:
+                                vec[i] = x
+                            for i, x in zip(idxs, signs):
+                                vec[i] = x
+                            found.append(tuple(vec))
                 return
             for idx in range(lo, n - need + 1):
+                col = cols[idx]
                 for v in vals:
                     if not remaining[v]:
                         continue
                     remaining[v] -= 1
                     rs = remsum - v
                     for sval in (v,) if not picks else (v, -v):
-                        feasible = True
+                        for t, c in enumerate(col):
+                            sums[t] += c * sval
                         for t in range(nz):
-                            zsums[t] += zrows[t][idx] * sval
-                        for t in range(nz):
-                            bound = rs * sufmax[t][idx + 1]
-                            if abs(zsums[t]) > bound:
-                                feasible = False
+                            if abs(sums[t]) > rs * sufmax[t][idx + 1]:
                                 break
-                        if feasible:
+                        else:
                             picks.append((idx, sval))
                             place(idx + 1, need - 1, rs)
                             picks.pop()
-                        for t in range(nz):
-                            zsums[t] -= zrows[t][idx] * sval
+                        for t, c in enumerate(col):
+                            sums[t] -= c * sval
                     remaining[v] += 1
 
         place(0, len(pattern), sum(pattern))

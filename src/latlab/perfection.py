@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 from . import families, intlinalg, lattice
-from .errors import ConstructionError
+from .errors import ConstructionError, SpecError
 from .families import FamilySpec
 from .lattice import Lattice, MinimalVectorSet, sign_canonical
 
@@ -201,8 +202,9 @@ def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:
     exclusion list, and locate the successor of the last failure.
 
     The scan is finite: beyond max(7, 2(k+1)^3 - 1) the tail is all-perfect,
-    so once d_max reaches that bound the returned D is exact.  Below the
-    bound the scan reports the observed failures with D unresolved.  The
+    so a d_max above that bound is refused (SpecError) before any work, and
+    at the bound, the default, the returned D is exact.  Below the bound the
+    scan reports the observed failures with D unresolved.  The
     per-dimension reports are independent and run across `jobs` processes;
     the result does not depend on the partitioning.
     """
@@ -211,13 +213,16 @@ def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:
     bound = max(7, 2 * (k + 1) ** 3 - 1)
     if d_max is None:
         d_max = bound
+    if d_max > bound:
+        raise SpecError(f"d_max {d_max} is above the certified tail bound {bound}, "
+                        "beyond which every dimension is perfect")
     dims = range(1, d_max + 1)
     outcomes = _map(_scan_entry, [(excl, d) for d in dims], jobs)
     perfect, failures = [], []
     for d, ok in zip(dims, outcomes):
         (perfect if ok else failures).append(d)
     D = None
-    if d_max >= bound:
+    if d_max == bound:
         if any(d >= bound for d in failures):
             raise RuntimeError("failure beyond the certified tail")
         D = (max(failures) + 1) if failures else 1
@@ -263,28 +268,46 @@ def _neighbor_term(v, d: int, count: int) -> NeighborStats:
     return NeighborStats(count, gamma, delta, 2 * d * (min(gamma, 1 - gamma) + 2 - delta))
 
 
+def _unit_support(v) -> list[tuple[int, int]]:
+    """The (coordinate, entry) pairs of a vector with four +-1 entries."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    if len(support) != 4 or any(x not in (1, -1) for _, x in support):
+        raise ValueError("neighbor counts need vectors with four +-1 entries")
+    return support
+
+
 def _neighbor_counts(targets, vectors) -> list[int]:
     """For each target v, the number of vectors w with <v, w> = +-2.
 
-    Such a w shares a support coordinate with v, so only the vectors indexed
-    under the coordinates of v are scanned.
+    Every vector has four +-1 entries, so <v, w> = +-2 holds exactly when v
+    and w share two coordinates i, j with w_i w_j = v_i v_j, or share all
+    four with a 3-to-1 split of the products v_k w_k (three shared
+    coordinates give an odd sum).  Counting the vectors under the key
+    (i, j, w_i w_j) of each of their six support pairs, and summing over
+    the six pairs of v, settles every w sharing at most two coordinates.  A
+    w sharing three or four is found through its support triples; its pair
+    credit is taken off and its true product tested instead.
     """
-    sparse = [{j: x for j, x in enumerate(w) if x} for w in vectors]
-    by_coord: dict[int, list[int]] = {}
-    for idx, wmap in enumerate(sparse):
-        for j in wmap:
-            by_coord.setdefault(j, []).append(idx)
+    supports = [_unit_support(w) for w in vectors]
+    pairs: dict[tuple[int, int, int], int] = {}
+    triples: dict[tuple[int, ...], list[int]] = {}
+    for idx, support in enumerate(supports):
+        for (i, a), (j, b) in combinations(support, 2):
+            pairs[i, j, a * b] = pairs.get((i, j, a * b), 0) + 1
+        for triple in combinations([j for j, _ in support], 3):
+            triples.setdefault(triple, []).append(idx)
     counts = []
     for v in targets:
-        vmap = {j: x for j, x in enumerate(v) if x}
-        candidates = set()
-        for j in vmap:
-            candidates.update(by_coord.get(j, ()))
-        count = 0
-        for idx in candidates:
-            s = sum(vmap.get(j, 0) * x for j, x in sparse[idx].items())
-            if s == 2 or s == -2:
-                count += 1
+        support = _unit_support(v)
+        vmap = dict(support)
+        count = sum(pairs.get((i, j, a * b), 0) for (i, a), (j, b) in combinations(support, 2))
+        close = set()
+        for triple in combinations(vmap, 3):
+            close.update(triples.get(triple, ()))
+        for idx in close:
+            products = [vmap[j] * x for j, x in supports[idx] if j in vmap]
+            count -= sum(p == q for p, q in combinations(products, 2))
+            count += abs(sum(products)) == 2
         counts.append(count)
     return counts
 

@@ -1,0 +1,102 @@
+"""Reference implementations that the tests compare the package against.
+
+They are the plain loops that the package's faster code replaced, kept as
+they were; the package itself does not need them.
+"""
+
+from latlab.lattice import MinimalVectorSet, square_patterns
+
+
+def support_sign_reference(lat, m):
+    """Vectors of squared norm m by a full support/sign walk.
+
+    Square patterns of m, then supports in increasing coordinate order, then
+    signs (the first support coordinate forced positive).  Equality rows
+    prune partial assignments through interval bounds on what the unplaced
+    values can still contribute; congruence rows are checked once a support
+    is complete.
+    """
+    if m < 1:
+        raise ValueError("norm must be positive")
+    cs = lat.constraints
+    n = cs.ambient_dim
+    zrows = [w for w, mod in cs.rows if mod == 0]
+    modrows = [(w, mod) for w, mod in cs.rows if mod > 0]
+    sufmax = []
+    for w in zrows:
+        sm = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            sm[j] = max(sm[j + 1], abs(w[j]))
+        sufmax.append(sm)
+    nz = len(zrows)
+    found = []
+
+    for pattern in square_patterns(m):
+        if len(pattern) > n:
+            continue
+        vals = sorted(set(pattern), reverse=True)
+        remaining = {v: pattern.count(v) for v in vals}
+        picks = []
+        zsums = [0] * nz
+
+        def place(lo, need, remsum):
+            if not need:
+                if any(zsums):
+                    return
+                for w, mod in modrows:
+                    if sum(w[i] * x for i, x in picks) % mod:
+                        return
+                vec = [0] * n
+                for i, x in picks:
+                    vec[i] = x
+                found.append(tuple(vec))
+                return
+            for idx in range(lo, n - need + 1):
+                for v in vals:
+                    if not remaining[v]:
+                        continue
+                    remaining[v] -= 1
+                    rs = remsum - v
+                    for sval in (v,) if not picks else (v, -v):
+                        feasible = True
+                        for t in range(nz):
+                            zsums[t] += zrows[t][idx] * sval
+                        for t in range(nz):
+                            bound = rs * sufmax[t][idx + 1]
+                            if abs(zsums[t]) > bound:
+                                feasible = False
+                                break
+                        if feasible:
+                            picks.append((idx, sval))
+                            place(idx + 1, need - 1, rs)
+                            picks.pop()
+                        for t in range(nz):
+                            zsums[t] -= zrows[t][idx] * sval
+                    remaining[v] += 1
+
+        place(0, len(pattern), sum(pattern))
+    found.sort()
+    return MinimalVectorSet(m, tuple(found))
+
+
+def neighbor_counts_reference(targets, vectors):
+    """For each target v, the number of vectors w with <v, w> = +-2, by
+    scanning every vector that shares a support coordinate with v."""
+    sparse = [{j: x for j, x in enumerate(w) if x} for w in vectors]
+    by_coord = {}
+    for idx, wmap in enumerate(sparse):
+        for j in wmap:
+            by_coord.setdefault(j, []).append(idx)
+    counts = []
+    for v in targets:
+        vmap = {j: x for j, x in enumerate(v) if x}
+        candidates = set()
+        for j in vmap:
+            candidates.update(by_coord.get(j, ()))
+        count = 0
+        for idx in candidates:
+            s = sum(vmap.get(j, 0) * x for j, x in sparse[idx].items())
+            if s == 2 or s == -2:
+                count += 1
+        counts.append(count)
+    return counts

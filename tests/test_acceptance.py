@@ -167,7 +167,7 @@ ORACLE_SPECS = (
     "Ld:12", "Ld:13", "Ld:8:excl=2,6", "Od:12", "Od:14", "Od:9:excl=3", "Md:12",
     "Md:9:excl=1", "LA:Z/13", "LA:Z/4+Z/2", "LAsub:Z/9:drop=0", "Mneg:Z/16",
     "Mneg:F2^3", "T:3", "Craig:q=7,k=2", "Craig:q=9,k=2", "Craig:q=11,k=3",
-    "SidonInv:q=11", "Sidon:Z/7:set=0,1,3",
+    "SidonInv:q=11", "Sidon:Z/7:set=0,1,3", "Ld:15", "Od:16",
 )
 
 MEASURED_NEIGHBOR_DEVIATION = Fraction(898, 41)
@@ -178,7 +178,7 @@ def test_criterion_8_property_suites():
         for spec_text in ORACLE_SPECS:
             spec = parse_family(spec_text, strict=False)
             lat = families.build_family(spec)
-            assert lat.rank <= 14, spec_text
+            assert lat.rank <= 16, spec_text
             bound = 10 if lat.rank <= 9 else 8
             oracle = lattice.enumerate_by_basis_oracle(lat, bound)
             for m in range(1, bound + 1):

@@ -210,6 +210,8 @@ def test_bad_jobs_value(capsys):
     ("craig", "--q", "7", "--k", "4"),  # no closed form for k = 4
     ("scan-D", "--dmax", "0"),
     ("scan-D", "--dmax", "-3"),
+    ("scan-D", "--dmax", "8"),  # above the tail bound 7 of no exclusions
+    ("scan-D", "--excl", "6", "--dmax", "20"),  # above the tail bound 15
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     name, _, value = argv[0].partition("=")

@@ -635,6 +635,40 @@ def test_kernel_no_rows_is_identity():
     assert kernel_basis(3, ()) == identity(3)
 
 
+def test_kernel_basis_matches_the_saturated_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    systems = [
+        (3, [((1, 2, 3), 0), ((1, 0, 1), 2)]),
+        (4, [((1, 1, 1, 1), 0), ((0, 1, 2, 3), 4)]),
+        (5, [((2, -1, 0, 3, 1), 6), ((1, 1, 1, 1, 1), 0), ((0, 3, 1, 0, 2), 9)]),
+        (4, [((2, 4, 6, 8), 0)]),
+        (3, [((1, 2, 4), 8)]),
+        (4, [((1, 1, 0, 0), 2), ((0, 1, 1, 0), 2), ((0, 0, 1, 1), 2)]),
+    ]
+    for spec in ("LA:Z/4+Z/2", "Craig:q=9,k=2", "Od:7"):
+        cs = families.make(families.parse_family(spec))
+        systems.append((cs.ambient_dim, list(cs.rows)))
+    for n, rows in systems:
+        # v is in the lattice when W v - diag(m) t = 0 for an integer t with
+        # one entry per congruence row: the integer kernel of that matrix,
+        # which is the saturation of its rational nullspace, cut to v
+        mods = [m for _, m in rows if m]
+        M, c = [], 0
+        for w, m in rows:
+            M.append(list(w) + [-m if m and j == c else 0 for j in range(len(mods))])
+            c += bool(m)
+        null = []
+        for col in sympy.Matrix(M).nullspace():
+            den = sympy.ilcm(*(x.q for x in col))
+            null.append([int(x * den) for x in col])
+        _, _, V = smith_normal_decomp(sympy.Matrix(null))
+        saturated = [[int(x) for x in row] for row in V.inv().tolist()[:len(null)]]
+        expected = nonzero_rows(hnf([row[:n] for row in saturated]))
+        assert kernel_basis(n, rows) == expected, rows
+
+
 def test_gram_matrix_values():
     B = [[1, -1, 0], [0, 1, -1]]
     assert gram_matrix(B) == [[2, -1], [-1, 2]]

@@ -6,6 +6,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import support_sign_reference
 from test_acceptance import ORACLE_SPECS
 
 from latlab import cli, families, intlinalg
@@ -354,3 +355,65 @@ def test_random_systems_enumeration_matches_the_oracle(cs):
         mvs = vectors_of_norm(lat, m)
         assert oracle[m] == mvs, m
         assert all(contains(lat, v) for v in mvs.vectors)
+
+
+@st.composite
+def mixed_systems(draw):
+    """At least one equality row and one congruence row, in any order."""
+    n = draw(st.integers(1, 7))
+    weights = st.tuples(*[st.integers(-4, 4)] * n)
+    equalities = draw(st.lists(weights, min_size=1, max_size=2))
+    congruences = draw(st.lists(st.tuples(weights, st.integers(2, 13)), min_size=1, max_size=3))
+    return _cs(n, draw(st.permutations([(w, 0) for w in equalities] + congruences)))
+
+
+def _assert_three_way_agreement(lat, norms):
+    oracle = enumerate_by_basis_oracle(lat, max(norms))
+    for m in norms:
+        mvs = vectors_of_norm(lat, m)
+        assert mvs == support_sign_reference(lat, m), m
+        assert mvs == oracle[m], m
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_systems())
+def test_enumeration_matches_the_reference_walk_and_the_oracle_on_mixed_rows(cs):
+    try:
+        lat = build(cs)
+    except ConstructionError:
+        return
+    _assert_three_way_agreement(lat, range(1, 9))
+
+
+def test_enumeration_edge_cases():
+    # patterns of one and two values at the root, where only the lowest
+    # support coordinate is forced positive; no rows at all; patterns longer
+    # than the ambient dimension; systems of congruence rows alone
+    z1, z2 = build(_cs(1, [])), build(_cs(2, []))
+    assert vectors_of_norm(z1, 1).vectors == ((1,),)
+    assert vectors_of_norm(z1, 4).vectors == ((2,),)
+    assert vectors_of_norm(z1, 2).vectors == ()
+    assert vectors_of_norm(z2, 2).vectors == ((1, -1), (1, 1))
+    assert vectors_of_norm(z2, 5).vectors == ((1, -2), (1, 2), (2, -1), (2, 1))
+    assert vectors_of_norm(z2, 3).vectors == ()
+    cases = [
+        (z1, range(1, 9)),
+        (z2, range(1, 9)),
+        (build(_cs(3, [])), range(1, 9)),
+        (build(_cs(2, [((1, 1), 0)])), range(1, 9)),
+        (build(_cs(2, [((1, 2), 5)])), range(1, 9)),
+        (build(_cs(3, [((1, 2, 3), 4), ((1, 1, 1), 2)])), range(1, 9)),
+        (families.build_family("Mneg:Z/16"), range(1, 9)),
+        # one equality row, and the congruence row modulo 32 does the pruning
+        (families.build_family("LA:Z/32"), (4,)),
+    ]
+    for lat, norms in cases:
+        _assert_three_way_agreement(lat, norms)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
+    # the norms of acceptance criterion 8, where the oracle is compared
+    lat = families.build_family(families.parse_family(spec, strict=False))
+    for m in range(1, (10 if lat.rank <= 9 else 8) + 1):
+        assert vectors_of_norm(lat, m) == support_sign_reference(lat, m), m

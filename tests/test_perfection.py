@@ -2,10 +2,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from references import neighbor_counts_reference
 
 from latlab import families, intlinalg, lattice, perfection, tables
+from latlab.errors import SpecError
 from latlab.families import parse_family
 from latlab.perfection import (
+    _neighbor_counts,
     alpha_series,
     hyperplane_split_check,
     minvec_graph,
@@ -141,7 +146,8 @@ def test_hyperplane_split_soundness_sweep():
 
 
 def test_scan_D_base_and_a4():
-    res = scan_D((), 15)
+    # with no exclusions the tail bound is 7; criterion 4 covers Ld:7..20
+    res = scan_D(())
     assert res.D == 7
     assert all(d >= 7 for d in res.perfect_ds)
     assert set(res.failures) == {1, 2, 3, 4, 5, 6}
@@ -154,6 +160,18 @@ def test_scan_D_base_and_a4():
 def test_scan_D_unresolved_below_bound():
     res = scan_D((2,), 10)
     assert res.D is None and not res.certified
+
+
+def test_scan_D_refuses_a_dmax_above_the_tail_bound(monkeypatch):
+    # the bound is max(7, 2(k+1)^3 - 1); nothing may run past it
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan started work")
+
+    monkeypatch.setattr(perfection, "_map", no_work)
+    for excl, d_max, bound in (((), 8, 7), ((6,), 16, 15), ((2, 10), 54, 53),
+                               ((), 10**4, 7)):
+        with pytest.raises(SpecError, match=f"above the certified tail bound {bound}"):
+            scan_D(excl, d_max)
 
 
 def test_scanned_Ld_lattices_have_no_vectors_below_norm_4():
@@ -180,6 +198,53 @@ def test_all_L_d_norm4_vectors_are_pattern_shaped():
         for v in lattice.vectors_of_norm(lat, 4).vectors:
             i, alpha, beta = pattern_decompose(v)
             assert 1 <= i <= d - 1 and i + 2 * alpha + beta <= d + 2
+
+
+def test_neighbor_counts_match_the_scanning_loop_on_Ld():
+    # the loop costs about 2 ms a target at d = 40, so large d take a spread
+    # of about 200 targets against every shortest vector
+    for d in (*range(4, 13), 16, 20, 24, 28, 32, 36, 40):
+        vecs = lattice.vectors_of_norm(families.build_family(f"Ld:{d}"), 4).vectors
+        targets = vecs[::max(1, len(vecs) // 200)]
+        assert _neighbor_counts(targets, vecs) == neighbor_counts_reference(targets, vecs), d
+
+
+@st.composite
+def unit_support_sets(draw):
+    """Vectors with four +-1 entries over a few coordinates, so that they
+    share two, three and four coordinates often, duplicates allowed."""
+    n = draw(st.integers(4, 7))
+    vector = st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True),
+        st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4))
+
+    def dense(support_signs):
+        v = [0] * n
+        for j, x in zip(*support_signs):
+            v[j] = x
+        return tuple(v)
+
+    vectors = draw(st.lists(vector.map(dense), max_size=40))
+    targets = draw(st.lists(vector.map(dense), min_size=1, max_size=8))
+    return targets, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_support_sets())
+def test_neighbor_counts_match_the_scanning_loop_on_sign_patterns(case):
+    targets, vectors = case
+    assert _neighbor_counts(targets, vectors) == neighbor_counts_reference(targets, vectors)
+    assert _neighbor_counts(targets, targets) == neighbor_counts_reference(targets, targets)
+
+
+def test_neighbor_counts_refuse_other_shapes():
+    good = (1, -1, -1, 1, 0)
+    for bad in ((2, 0, 0, 0, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1), (1, -1, 2, 1, 0),
+                (0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="four \\+-1 entries"):
+            _neighbor_counts([good], [good, bad])
+        with pytest.raises(ValueError, match="four \\+-1 entries"):
+            _neighbor_counts([bad], [good])
 
 
 def test_neighbor_stats_single_vector_d30():
