@@ -161,8 +161,9 @@ def _cmd_craig(args, cfg: RunConfig):
     elif args.method == "histogram":
         value = families.craig_pair_count(q, k)
     else:
-        lat = families.build_family(families.FamilySpec("Craig", q=q, k=k))
-        value = lattice.vectors_of_norm(lat, 2 * (k + 1)).count
+        spec = families.FamilySpec("Craig", q=q, k=k)
+        value = lattice.vectors_of_norm(families.build_family(spec),
+                                        families.formula_norm(spec)).count
     obj = {"q": q, "k": k, "method": args.method, "value": value}
     return EXIT_OK, obj, [(("q", "k", "method", "value"), [(q, k, args.method, value)])]
 

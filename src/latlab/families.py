@@ -2,7 +2,11 @@
 
 Each family is named by a FamilySpec (tag plus parameters, with a compact
 string grammar for the CLI).  ``make`` turns a spec into the constraint
-system cutting the lattice out of Z^n; ``det_formula`` and
+system cutting the lattice out of Z^n, from one of three shapes: a
+simplex-type kernel over a coefficient window with excluded indices (Ld, Od,
+Md; each window is one entry of ``_WINDOWS``), a group-algebra kernel over a
+finite abelian group (LA, LAsub, Mneg, T, Sidon) or a power-sum kernel over a
+finite field (Craig, SidonInv).  ``det_formula`` and
 ``minpair_formula`` give the closed-form determinant and shortest-vector
 pair count where one exists, so formulas and explicit enumeration can be
 cross-verified.
@@ -26,6 +30,10 @@ from .lattice import ConstraintSystem, Lattice
 _MAX_PARTS = {"Ld": 3, "Od": 3, "Md": 3, "LA": 2, "LAsub": 3, "Mneg": 2, "T": 2,
               "Craig": 2, "Sidon": 3, "SidonInv": 2}
 TAGS = tuple(_MAX_PARTS)
+
+# each window family's (extra, start, step): its coefficients are the
+# smallest d + extra members of start, start + step, ... that are not excluded
+_WINDOWS = {"Ld": (2, 1, 1), "Od": (1, 1, 2), "Md": (1, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,15 @@ class FamilySpec:
         return out
 
     def __str__(self) -> str:
-        if self.tag in ("Ld", "Od", "Md"):
+        if self.tag in _WINDOWS:
             s = f"{self.tag}:{self.d}"
             if self.excl:
                 s += ":excl=" + ",".join(str(a) for a in self.excl)
             return s
-        if self.tag == "LA":
-            return f"LA:{self.group}"
+        if self.tag in ("LA", "Mneg"):
+            return f"{self.tag}:{self.group}"
         if self.tag == "LAsub":
             return f"LAsub:{self.group}:drop={self.group.label(self.drop)}"
-        if self.tag == "Mneg":
-            return f"Mneg:{self.group}"
         if self.tag == "T":
             return f"T:{self.c}"
         if self.tag == "Craig":
@@ -101,15 +107,11 @@ def parse_excl(tag: str, text: str) -> tuple[int, ...]:
 
 
 def _check_excl(tag: str, excl) -> None:
-    """The sign and parity rules on exclusions: Ld and Od ones are positive,
-    Od ones odd and Md ones nonnegative."""
-    if tag == "Od" and any(a % 2 == 0 for a in excl):
-        raise SpecError("Od exclusions must be odd")
-    if tag == "Md":
-        if any(a < 0 for a in excl):
-            raise SpecError("Md exclusions must be nonnegative")
-    elif any(a < 1 for a in excl):
-        raise SpecError("exclusions must be positive")
+    """Every exclusion must be a member of the window's progression."""
+    _, start, step = _WINDOWS[tag]
+    if any(a < start or (a - start) % step for a in excl):
+        raise SpecError(f"{tag} exclusions must be among {start}, {start + step}, "
+                        f"{start + 2 * step}, ...")
 
 
 def _excl_window_check(spec: FamilySpec) -> None:
@@ -120,19 +122,12 @@ def _excl_window_check(spec: FamilySpec) -> None:
     taken to be a mistake.  Programmatic sweeps construct FamilySpec values
     directly and may use ineffective exclusions freely.
     """
-    k = len(spec.excl)
-    if not k:
-        return
-    d = spec.d
-    if spec.tag == "Ld":
-        lo, hi = 1, d + 1 + k
-    elif spec.tag == "Od":
-        lo, hi = 1, 2 * (d + k) - 1
-    else:
-        lo, hi = 0, d + k - 1
+    extra, start, step = _WINDOWS[spec.tag]
+    # the last of the first d + extra + k members of the progression
+    hi = start + (spec.d + extra + len(spec.excl) - 2) * step
     for a in spec.excl:
-        if not lo <= a <= hi:
-            raise SpecError(f"exclusion {a} out of index range [{lo}, {hi}]")
+        if not start <= a <= hi:
+            raise SpecError(f"exclusion {a} out of index range [{start}, {hi}]")
 
 
 def parse_family(text: str, strict: bool = True) -> FamilySpec:
@@ -148,7 +143,7 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
     if len(parts) > _MAX_PARTS[tag]:
         raise SpecError("too many ':' separated parts")
     try:
-        if tag in ("Ld", "Od", "Md"):
+        if tag in _WINDOWS:
             if len(parts) < 2:
                 raise SpecError(f"{tag} needs a dimension")
             d = int(parts[1])
@@ -163,15 +158,13 @@ def parse_family(text: str, strict: bool = True) -> FamilySpec:
             if strict:
                 _excl_window_check(spec)
             return spec
-        if tag == "LA":
+        if tag in ("LA", "Mneg"):
             return FamilySpec(tag, group=parse_group(parts[1]))
         if tag == "LAsub":
             if len(parts) < 3 or not parts[2].startswith("drop="):
                 raise SpecError("LAsub needs GROUP:drop=ELEMENT")
             group = parse_group(parts[1])
             return FamilySpec(tag, group=group, drop=group.parse_element(parts[2][5:]))
-        if tag == "Mneg":
-            return FamilySpec(tag, group=parse_group(parts[1]))
         if tag == "T":
             c = int(parts[1])
             if c < 1:
@@ -248,73 +241,47 @@ def _group_rows(group: FinAbelianGroup, coords) -> list[tuple[tuple[int, ...], i
 
 
 def make(spec: FamilySpec) -> ConstraintSystem:
-    """Constraint system of the named family."""
+    """Constraint system of the named family: a window, group or field kernel."""
     tag = spec.tag
-    if tag in ("Ld", "Od", "Md"):
+    if tag in _WINDOWS:
         _check_excl(tag, spec.excl)
-    if tag == "Ld":
-        coeffs = _window(spec.excl, spec.d + 2, 1)
-        n = len(coeffs)
-        rows = (((1,) * n, 0), (tuple(coeffs), 0))
-        return ConstraintSystem(tuple(str(c) for c in coeffs), rows)
-    if tag == "Od":
-        coeffs = _window(spec.excl, spec.d + 1, 1, 2)
-        rows = ((tuple(coeffs), 0),)
-        return ConstraintSystem(tuple(str(c) for c in coeffs), rows)
-    if tag == "Md":
-        coeffs = _window(spec.excl, spec.d + 1, 0)
-        n = len(coeffs)
-        rows = ((tuple(coeffs), 0), ((1,) * n, 2))
-        return ConstraintSystem(tuple(str(c) for c in coeffs), rows)
-    if tag in ("LA", "LAsub"):
-        group = spec.group
-        coords = list(group.elements())
-        if tag == "LAsub":
-            coords = [a for a in coords if a != spec.drop]
-        n = len(coords)
-        rows = [((1,) * n, 0)] + _group_rows(group, coords)
+        extra, start, step = _WINDOWS[tag]
+        coeffs = tuple(_window(spec.excl, spec.d + extra, start, step))
+        ones = (1,) * len(coeffs)
+        rows = {"Ld": ((ones, 0), (coeffs, 0)), "Od": ((coeffs, 0),),
+                "Md": ((coeffs, 0), (ones, 2))}[tag]
+        return ConstraintSystem(tuple(map(str, coeffs)), rows)
+    if tag in ("LA", "LAsub", "Mneg", "T", "Sidon"):
+        group = FinAbelianGroup((2,) * spec.c) if tag == "T" else spec.group
+        if tag == "Mneg":
+            coords = mod_negation_reps(group)
+        elif tag == "Sidon":
+            coords = sorted(spec.subset)
+            if not is_sidon(coords, group):
+                raise ConstructionError("subset is not a Sidon set")
+        else:
+            # LA drops nothing (spec.drop is None), T the zero of F2^c
+            drop = group.zero if tag == "T" else spec.drop
+            coords = [a for a in group.elements() if a != drop]
+        head = [] if tag == "T" else [((1,) * len(coords), 2 if tag == "Mneg" else 0)]
+        rows = head + _group_rows(group, coords)
         return ConstraintSystem(tuple(group.label(a) for a in coords), tuple(rows))
-    if tag == "Mneg":
-        group = spec.group
-        reps = mod_negation_reps(group)
-        n = len(reps)
-        rows = [((1,) * n, 2)] + _group_rows(group, reps)
-        return ConstraintSystem(tuple(group.label(a) for a in reps), tuple(rows))
-    if tag == "T":
-        group = FinAbelianGroup((2,) * spec.c)
-        coords = [a for a in group.elements() if a != group.zero]
-        rows = _group_rows(group, coords)
-        return ConstraintSystem(tuple("".join(map(str, a)) for a in coords), tuple(rows))
     if tag == "Craig":
         field = _craig_field(spec.q, spec.k)
         elems = field.elements()
-        n = len(elems)
-        rows: list[tuple[tuple[int, ...], int]] = [((1,) * n, 0)]
-        for i in range(1, spec.k + 1):
-            powers = [field.pow(x, i) for x in elems]
-            for t in range(field.e):
-                rows.append((tuple(px[t] for px in powers), field.p))
-        return ConstraintSystem(tuple(field.label(x) for x in elems), tuple(rows))
-    if tag == "SidonInv":
+        value_lists = [[field.pow(x, i) for x in elems] for i in range(1, spec.k + 1)]
+    elif tag == "SidonInv":
         field = field_for_order(spec.q)
         if field.p == 2:
             raise ConstructionError("inverse-pair construction needs odd characteristic")
         elems = [x for x in field.elements() if x != field.zero]
-        n = len(elems)
-        rows = [((1,) * n, 0)]
-        for vals in (elems, [field.inv(x) for x in elems]):
-            for t in range(field.e):
-                rows.append((tuple(px[t] for px in vals), field.p))
-        return ConstraintSystem(tuple(field.label(x) for x in elems), tuple(rows))
-    if tag == "Sidon":
-        group = spec.group
-        subset = sorted(spec.subset)
-        if not is_sidon(subset, group):
-            raise ConstructionError("subset is not a Sidon set")
-        n = len(subset)
-        rows = [((1,) * n, 0)] + _group_rows(group, subset)
-        return ConstraintSystem(tuple(group.label(a) for a in subset), tuple(rows))
-    raise SpecError(f"unknown family tag {tag!r}")
+        value_lists = [elems, [field.inv(x) for x in elems]]
+    else:
+        raise SpecError(f"unknown family tag {tag!r}")
+    rows = [((1,) * len(elems), 0)] + [
+        (tuple(x[t] for x in values), field.p) for values in value_lists for t in range(field.e)
+    ]
+    return ConstraintSystem(tuple(field.label(x) for x in elems), tuple(rows))
 
 
 def build_family(spec: FamilySpec | str) -> Lattice:

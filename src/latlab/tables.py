@@ -128,7 +128,7 @@ def _exclusion_row(args) -> tuple[str, int, int, int]:
 
 
 def _scan_row(a1: int) -> tuple[str, int]:
-    result = perfection.scan_D((a1,), 15)
+    result = perfection.scan_D((a1,))
     if result.D is None:
         raise RuntimeError(f"D({a1}) left unresolved by a scan to the tail bound")
     return str(a1), result.D

@@ -6,13 +6,17 @@ that is meant to leave every output alone must keep all of them.  The corpus
 covers the README CLI examples in json and csv at ``--jobs 1`` and
 ``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
 methods, one build/analyze/minvec/verify per family tag, and the graph and
-scan-D outputs whose spectrum, srg or D is null or unresolved, and the
+scan-D outputs whose spectrum, srg or D is null or unresolved, the
 graphs whose characteristic polynomial has large or irrational-root
-coefficients, and two analyses with large symmetric-square ranks.
+coefficients, two analyses with large symmetric-square ranks, and builds
+over prime-power fields, multi-factor groups, the edges of the exclusion
+windows and construction failures.
 
-A change that alters an output on purpose re-records the file with
-``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` and says so in
-its changelog entry.
+``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` keeps every
+existing entry verbatim, records the argvs that have no entry yet and drops
+the entries whose argv is no longer listed.  A change that alters an output
+on purpose deletes that entry, re-records, and says so in its changelog
+entry.
 """
 
 import contextlib
@@ -77,6 +81,18 @@ _SYM_RANK = (
 )
 
 
+# builds: fields with e > 1, a rank-1 label, multi-factor groups, exclusions
+# at the edges of each window, and the two exit-3 constructions
+_BUILDS = (
+    "Craig:q=9,k=2", "Craig:q=4,k=1", "SidonInv:q=9",
+    "T:1",
+    "Mneg:Z/2+Z/4", "LAsub:Z/3+Z/3:drop=00", "LA:F2^3", "Sidon:Z/3+Z/3:set=00,01,10",
+    "Sidon:Z/12+Z/13:set=0,0,0,1,1,0",
+    "Ld:7:excl=9", "Od:8:excl=17", "Md:8:excl=8", "Md:8:excl=0,9", "Ld:7:excl=1,10",
+    "SidonInv:q=4", "Sidon:Z/8:set=0,1,2",
+)
+
+
 def corpus_argvs() -> list[list[str]]:
     out = []
     for fmt in ("json", "csv"):
@@ -91,6 +107,7 @@ def corpus_argvs() -> list[list[str]]:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
     out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK]
+    out += [["build", spec] for spec in _BUILDS]
     return out
 
 
@@ -122,9 +139,12 @@ def test_cli_output_unchanged(entry):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_cli_corpus.py --record")
+    recorded = {tuple(e["argv"]): e for e in _load()}
     entries = []
     for argv in corpus_argvs():
-        code, digest = run(argv)
-        entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        if tuple(argv) not in recorded:
+            code, digest = run(argv)
+            recorded[tuple(argv)] = {"argv": argv, "exit": code, "stdout_sha256": digest}
+        entries.append(recorded[tuple(argv)])
     with open(CORPUS, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")

@@ -219,3 +219,44 @@ def test_family_spec_roundtrip():
                  "LA:Z/3+Z/3", "LAsub:Z/9:drop=0", "Mneg:Z/16", "T:3",
                  "Craig:q=11,k=2", "SidonInv:q=11"):
         assert str(parse_family(text)) == text
+
+
+# (coefficient count - d, start, step) of each window, stated here
+# independently of the constructor
+_WINDOWS = {"Ld": (2, 1, 1), "Od": (1, 1, 2), "Md": (1, 0, 1)}
+
+
+def _window_cases(pairs: bool):
+    for tag, (extra, start, step) in _WINDOWS.items():
+        for d in range(1, (8 if pairs else 12) + 1):
+            # the first d + extra + 4 members of the progression: the
+            # window, its one or two slots for exclusions, and two beyond
+            prog = [start + i * step for i in range(d + extra + 4)]
+            if pairs:
+                yield from ((tag, d, (a, b)) for i, a in enumerate(prog) for b in prog[i + 1:])
+            else:
+                yield from ((tag, d, (a,)) for a in prog)
+
+
+@pytest.mark.parametrize("pairs", (False, True), ids=("single", "pairs"))
+def test_strict_parse_accepts_exactly_the_effective_exclusions(pairs):
+    # an exclusion is effective when dropping it from the spec changes the
+    # constraint system; strict parsing must accept a spec exactly when all
+    # of its exclusions are
+    mismatches = []
+    for tag, d, excl in _window_cases(pairs):
+        cs = make(FamilySpec(tag, d=d, excl=excl))
+        effective = all(
+            make(FamilySpec(tag, d=d, excl=tuple(b for b in excl if b != a))) != cs
+            for a in excl
+        )
+        text = f"{tag}:{d}:excl=" + ",".join(map(str, excl))
+        try:
+            parse_family(text)
+            accepted = True
+        except SpecError as exc:
+            assert "out of index range" in str(exc)
+            accepted = False
+        if accepted != effective:
+            mismatches.append(text)
+    assert not mismatches

@@ -414,7 +414,7 @@ def test_cayley_hamilton_size_ten():
         assert poly_eval_matrix(coeffs, M) == [[0] * 10 for _ in range(10)]
 
 
-def _square(n):
+def _square_of_size(n):
     return st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                     min_size=n, max_size=n)
 
@@ -430,15 +430,15 @@ def _strictly_upper(M):
 
 # general (non-symmetric) squares, squares with a forced zero row (singular)
 # and strictly upper-triangular squares (nilpotent)
-square_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
-    _square(n),
-    st.builds(_zero_row, _square(n), st.integers(0, n - 1)),
-    _square(n).map(_strictly_upper),
+char_poly_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
+    _square_of_size(n),
+    st.builds(_zero_row, _square_of_size(n), st.integers(0, n - 1)),
+    _square_of_size(n).map(_strictly_upper),
 ))
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_matrix)
+@given(char_poly_matrix)
 @example([])
 @example([[0]])
 @example([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
