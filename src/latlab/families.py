@@ -86,7 +86,9 @@ class FamilySpec:
         if self.tag == "Sidon":
             labels = ",".join(self.group.label(a) for a in self.subset)
             return f"Sidon:{self.group}:set={labels}"
-        return f"SidonInv:q={self.q}"
+        if self.tag == "SidonInv":
+            return f"SidonInv:q={self.q}"
+        raise SpecError(f"unknown family tag {self.tag!r}")
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:

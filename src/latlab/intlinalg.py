@@ -9,12 +9,15 @@ module provides the primitives the rest of the package is built on:
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
 * ``rank`` / ``bareiss_det`` / ``gram_det`` - fraction-free Bareiss elimination,
 * ``certified_rank`` - exact ranks of sparse rows under a known cap,
-  certified by one sparse elimination modulo a prime (each pivot in the
-  rarest column of its row; incoming rows meet the pivots in creation
-  order, so each pivot is applied at most once per row); a degree-k
-  flattening of vectors spanning s dimensions has the cap comb(s + k - 1, k),
-  and s itself has any known bound, such as the rank of a lattice holding
-  the vectors or their length,
+  certified by one sparse elimination modulo a prime that keeps its pivot
+  rows in reduced row-echelon form (each pivot row is 1 in its own column
+  and 0 in every other pivot column, so an incoming row is reduced only by
+  the pivots in its own support); a degree-k flattening of vectors
+  spanning s dimensions has the cap comb(s + k - 1, k),
+* ``span_coordinates`` - the certified dimension s of the span of vectors
+  and the vectors projected onto the s pivot columns of that elimination,
+  which is injective on the span, so their degree-k flattenings use at
+  most comb(s + k - 1, k) columns, the cap itself,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
@@ -23,9 +26,7 @@ module provides the primitives the rest of the package is built on:
 
 from __future__ import annotations
 
-from collections import Counter
-from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from math import comb, isqrt
 from operator import mul
 
@@ -175,53 +176,64 @@ def bareiss_det(M) -> int:
 _CERT_PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(rows, cap: int) -> int:
-    """Rank modulo _CERT_PRIME of a list of sparse {column: value} rows,
-    which never exceeds the rank over Q; it stops once the rank reaches cap.
+def _subtract(v: dict[int, int], f: int, row: dict[int, int]) -> None:
+    """v -= f * row modulo _CERT_PRIME, in place, dropping the entries that vanish."""
+    p = _CERT_PRIME
+    for j, x in row.items():
+        if y := (v.get(j, 0) - f * x) % p:
+            v[j] = y
+        else:
+            del v[j]
 
-    A row left nonzero after reduction becomes a pivot in its rarest column,
-    counted over all the input rows, ties going to the lowest column, so few
-    later rows meet it and fill-in stays small (Markowitz 1957; LaMacchia
-    and Odlyzko 1990).  The pivot row is scaled to make its pivot entry 1
-    and is stored without that entry, negated.  A pivot row has no entry in
-    the column of any earlier pivot, because it was reduced against all of
-    them, so applying pivot i writes only into columns of later pivots: the
-    writes form an acyclic chain and the reduction of a row terminates in
-    any order.  Reducing against the pivots in creation order, kept as a
-    heap of creation indices, also applies each pivot at most once per row.
+
+def _reduce(row, pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """A sparse row modulo _CERT_PRIME, reduced by the pivots in its support.
+
+    pivots maps each pivot column to the rest of its pivot row, which has a 1
+    in that column and a 0 in every other pivot column (reduced row-echelon
+    form).  Subtracting a pivot row therefore writes no pivot column, so the
+    pivots outside the row's own support are never needed and the result
+    has no entry in any pivot column.
+    """
+    v = {c: y for c, x in row.items() if (y := x % _CERT_PRIME)}
+    for col in [c for c in v if c in pivots]:
+        _subtract(v, v.pop(col), pivots[col])
+    return v
+
+
+def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
+    """Pivot columns, in creation order, of a reduced row-echelon elimination
+    of sparse {column: value} rows modulo _CERT_PRIME; it stops once cap
+    pivots are found.  Their number is the rank modulo the prime, which
+    never exceeds the rank over Q.
+
+    Each incoming row is reduced by the pivots in its own support
+    (_reduce).  A row left nonzero takes its lowest column as pivot and is
+    scaled to 1 there; that column is then cleared from the earlier pivot
+    rows holding it, found through an index from each non-pivot column to
+    the pivots whose rows may hold it, so the form stays reduced.
     """
     p = _CERT_PRIME
-    count = Counter(c for row in rows for c in row)
-    order: dict[int, int] = {}  # pivot column -> creation index
-    pivots: list[tuple[int, dict[int, int]]] = []
+    pivots: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
     for row in rows:
-        v = {c: y for c, x in row.items() if (y := x % p)}
-        heap = [order[c] for c in v if c in order]
-        heapify(heap)
-        while heap:
-            col, prow = pivots[heappop(heap)]
-            f = v.pop(col, 0)
-            if not f:
-                continue
-            for j, x in prow.items():
-                y = v.get(j)
-                if y is None:
-                    v[j] = f * x % p
-                    if j in order:
-                        heappush(heap, order[j])
-                elif y := (y + f * x) % p:
-                    v[j] = y
-                else:
-                    del v[j]
+        v = _reduce(row, pivots)
         if not v:
             continue
-        col = min(v, key=lambda j: (count[j], j))
-        neg_inv = p - pow(v.pop(col), -1, p)
-        order[col] = len(pivots)
-        pivots.append((col, {j: x * neg_inv % p for j, x in v.items()}))
+        col = min(v)
+        inv = pow(v.pop(col), -1, p)
+        prow = {j: x * inv % p for j, x in v.items()}
+        cleared = holders.pop(col, set())
+        for q in cleared:
+            if f := pivots[q].pop(col, 0):
+                _subtract(pivots[q], f, prow)
+        cleared.add(col)
+        for j in prow:
+            holders.setdefault(j, set()).update(cleared)
+        pivots[col] = prow
         if len(pivots) == cap:
             break
-    return len(pivots)
+    return list(pivots)
 
 
 def certified_rank(rows, cap: int) -> int:
@@ -229,19 +241,42 @@ def certified_rank(rows, cap: int) -> int:
     at most cap.
 
     The rank modulo a prime never exceeds the rank over Q, which never
-    exceeds the cap, so one sparse elimination modulo a fixed 61-bit prime
-    certifies the rank whenever the modular rank reaches the cap, whatever
-    its pivot order.  That elimination (_rank_mod_p) puts each pivot in the
-    rarest column of its row and reduces each incoming row against the
-    pivots in creation order, which applies each pivot at most once per
-    row.  Otherwise fraction-free Bareiss elimination of the rows, made
-    dense over the columns they use, settles the value.  The result is exact either way; the modular pass
-    only short-circuits the common full-rank case.
+    exceeds the cap, so one reduced row-echelon elimination modulo a fixed
+    61-bit prime (_pivot_columns_mod_p) certifies the rank whenever it finds
+    cap pivots, whatever their order.  Otherwise fraction-free Bareiss
+    elimination of the rows, made dense over the columns they use, settles
+    the value.  The result is exact either way; the modular pass only
+    short-circuits the common full-rank case.
     """
-    if _rank_mod_p(rows, cap) == cap:
+    if len(_pivot_columns_mod_p(rows, cap)) == cap:
         return cap
     cols = sorted(set().union(*rows))
     return rank([[row.get(c, 0) for c in cols] for row in rows])
+
+
+def span_coordinates(vectors, cap: int) -> tuple[int, list]:
+    """(s, coords): the dimension s of the linear span of a sequence of
+    vectors, known to be at most cap, and the vectors restricted to
+    coordinates on which restriction is injective on that span: s of them
+    whenever the modular pass finds s pivots, else all of them.
+
+    The vectors are eliminated modulo the prime (_pivot_columns_mod_p),
+    giving pivot columns C; s is certified as in certified_rank, by
+    |C| = cap or else by Bareiss.  The vectors that made the pivots,
+    restricted to C, form a square matrix that is invertible modulo the
+    prime, so its determinant is a nonzero integer and they are independent
+    over Q.  When |C| = s they are a basis of the span that restriction to C
+    maps to a basis of Q^C, so restriction to C is injective on the span.
+    An injective linear map changes no symmetric-power rank, and the
+    degree-k flattenings of the restricted vectors use at most
+    comb(s + k - 1, k) columns, the cap itself.
+    """
+    cols = set(_pivot_columns_mod_p(sym_power_rows(vectors, 1), cap))
+    span = cap if len(cols) == cap else rank(vectors)
+    if len(cols) < span:
+        return span, list(vectors)
+    keep = [c in cols for c in range(len(vectors[0]))]
+    return span, [tuple(compress(v, keep)) for v in vectors]
 
 
 def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:

@@ -33,20 +33,20 @@ def sym_square_rank(vectors, dim: int | None = None) -> int:
 
     Rows are the sparse upper-triangle flattenings with raw products
     v_i v_j; the rank over Q does not depend on that choice of weighting.
-    The rank is certified (intlinalg.certified_rank: sparse elimination
-    modulo a prime, each pivot in the rarest column of its row, incoming
-    rows reduced against the pivots in creation order, which applies each
-    pivot at most once per row) under the cap comb(s + 1, 2), where s is
-    the dimension of the span of the vectors.  s is certified the same way
-    under the cap dim, a bound that a caller who knows one passes, such as
-    the rank of a lattice containing the vectors; it defaults to the length
-    of the vectors.
+    The dimension s of the span of the vectors is certified under the cap
+    dim, a bound that a caller who knows one passes, such as the rank of a
+    lattice containing the vectors; it defaults to the length of the
+    vectors.  The symmetric squares are taken on coordinates of that span
+    (intlinalg.span_coordinates: s of them whenever the modular span pass
+    finds s pivots, which leaves at most comb(s + 1, 2) columns), and their
+    rank is certified under the cap comb(s + 1, 2) by reduced row-echelon
+    elimination modulo a prime (intlinalg.certified_rank).
     """
     vecs = list(vectors)
     if not vecs:
         raise ValueError("need at least one vector")
-    span = _sym_power_rank(vecs, 1, len(vecs[0]) if dim is None else dim)
-    return _sym_power_rank(vecs, 2, span)
+    span, coords = intlinalg.span_coordinates(vecs, len(vecs[0]) if dim is None else dim)
+    return _sym_power_rank(coords, 2, span)
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,22 @@ def alpha_series(vectors, kmax: int, budget: int = 200_000) -> AlphaSeries:
 
     The k-th row of the flattening matrix evaluates every degree-k monomial
     at a vector, so the computed rank is the dimension of degree-k forms
-    restricted to the point set.  The series is flagged stabilized when the
-    last value reaches the number of distinct lines through the vectors,
-    after which it stays constant forever.
+    restricted to the point set; the vectors are first cut to coordinates
+    of their span (intlinalg.span_coordinates), which changes no rank.  The
+    series is flagged stabilized when the last value reaches the number of
+    distinct lines through the vectors, after which it stays constant
+    forever.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs or kmax < 1:
         raise ValueError("need vectors and kmax >= 1")
     n = len(vecs[0])
     dims = [1]
-    span = intlinalg.rank(vecs)
+    span, coords = intlinalg.span_coordinates(vecs, n)
     for k in range(1, kmax + 1):
         if comb(n + k - 1, k) > budget:
             raise ValueError("symmetric power budget exceeded")
-        dims.append(_sym_power_rank(vecs, k, span))
+        dims.append(_sym_power_rank(coords, k, span))
     return AlphaSeries(tuple(dims), stabilized=dims[-1] == _distinct_line_count(vecs))
 
 

@@ -221,6 +221,14 @@ def test_family_spec_roundtrip():
         assert str(parse_family(text)) == text
 
 
+def test_unknown_tag_is_refused_by_str_as_by_make():
+    spec = FamilySpec("Zz", d=3)
+    with pytest.raises(SpecError, match="unknown family tag 'Zz'"):
+        make(spec)
+    with pytest.raises(SpecError, match="unknown family tag 'Zz'"):
+        str(spec)
+
+
 # (coefficient count - d, start, step) of each window, stated here
 # independently of the constructor
 _WINDOWS = {"Ld": (2, 1, 1), "Od": (1, 1, 2), "Md": (1, 0, 1)}

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from heapq import heappop
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
 from unittest import mock
@@ -149,10 +148,10 @@ def assert_stops_with_the_dense_loop(rows, cap, dense_result):
     shortest prefix whose sparse rank reaches the cap is the prefix the
     dense loop read: it does not depend on the pivot order."""
     r, consumed = dense_result
-    assert intlinalg._rank_mod_p(rows, cap) == r
+    assert len(intlinalg._pivot_columns_mod_p(rows, cap)) == r
     if r == cap:
-        assert (intlinalg._rank_mod_p(rows[:consumed - 1], cap) < cap
-                == intlinalg._rank_mod_p(rows[:consumed], cap))
+        assert (len(intlinalg._pivot_columns_mod_p(rows[:consumed - 1], cap)) < cap
+                == len(intlinalg._pivot_columns_mod_p(rows[:consumed], cap)))
 
 
 def dense_sym_power_rows(vectors, k):
@@ -271,24 +270,36 @@ def test_sparse_rank_mod_p_matches_the_dense_loop(rows, offset):
     assert result[0] == min(full, cap) <= rank(dense(rows))
 
 
-def test_each_pivot_meets_a_row_at_most_once(monkeypatch):
-    # The rarest columns put the first pivot in column 5 and the second in
-    # column 3, and the first pivot row has an entry in column 3.  In
-    # creation order the third row meets each pivot once.  In column order
-    # it would meet the column-3 pivot, then the column-5 one, which writes
-    # into column 3 again, then the column-3 one a second time.  The
-    # trailing rows, never read once the cap is reached, only make column 0
-    # the most common.
-    popped = []
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix(mod_p_entry))
+# the third row makes column 5 a pivot, which must then be cleared from the
+# column-3 pivot row {3: 1, 5: 1} and the column-0 pivot row {0: 1, 5: -1}
+@example([{5: 1, 3: 1}, {3: 1, 0: 1}, {5: 1, 3: 2}])
+def test_rows_meet_only_the_pivots_in_their_support(rows):
+    # Each incoming row goes to _reduce with the stored pivots.  At every
+    # call no stored pivot row has an entry in another pivot's column, and
+    # reducing the row applies at most one pivot per entry of its support.
+    # A trailing empty row, read because the cap is above any rank, shows
+    # the final state too.
+    reduce, subtract = intlinalg._reduce, intlinalg._subtract
+    applied = []
 
-    def recording_heappop(heap):
-        popped.append(heappop(heap))
-        return popped[-1]
+    def checked_reduce(row, pivots):
+        for prow in pivots.values():
+            assert not prow.keys() & pivots.keys()
+        applied.clear()
+        v = reduce(row, pivots)
+        assert len(applied) <= sum(1 for x in row.values() if x % _P)
+        return v
 
-    monkeypatch.setattr(intlinalg, "heappop", recording_heappop)
-    rows = [{5: 1, 3: 1}, {3: 1, 0: 1}, {5: 1, 3: 2}] + [{0: 1}] * 3
-    assert intlinalg._rank_mod_p(rows, 3) == 3
-    assert popped == [0, 1]
+    def recording_subtract(v, f, row):
+        applied.append(row)
+        subtract(v, f, row)
+
+    with (mock.patch.object(intlinalg, "_reduce", checked_reduce),
+          mock.patch.object(intlinalg, "_subtract", recording_subtract)):
+        cols = intlinalg._pivot_columns_mod_p(rows + [{}], len(rows) + 1)
+    assert len(cols) == dense_rank_mod_p(dense(rows), -1)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -353,6 +364,44 @@ def test_sym2_rank_of_the_analyze_specs(spec):
         assert_stops_with_the_dense_loop(sym_power_rows(vecs, 2), cap, dense_rank_mod_p(full, cap))
     if spec in BAREISS_SIZED:
         assert rank(full) == SYM2_RANKS[spec]
+
+
+@st.composite
+def vector_sets(draw):
+    """Vectors of one length n <= 6: integer combinations of at most n base
+    vectors, so the span is often below n, plus repeated and scaled
+    vectors.  Some entries are multiples of _CERT_PRIME, which vanish
+    modulo it, so the modular span can fall short of the span over Q."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P]))
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    vecs = [tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(n))
+            for cs in draw(st.lists(coeffs, max_size=6))]
+    vecs += [tuple(b) for b in base]
+    index = st.integers(0, len(vecs) - 1)
+    for i, m in draw(st.lists(st.tuples(index, st.sampled_from([1, -1, 2, 3])), max_size=3)):
+        vecs.append(tuple(m * x for x in vecs[i]))
+    return draw(st.permutations(vecs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sets(), st.integers(0, 2))
+@example([(_P, 1), (0, 1)], 0)  # span 2, one pivot modulo the prime
+@example([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 1)  # span 1 below dim 2
+def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
+    span = rank(vecs)
+    expected = rank(dense_sym_power_rows(vecs, 2))
+    assert perfection.sym_square_rank(vecs) == expected
+    assert perfection.sym_square_rank(vecs, span + slack) == expected
+    # when the modular pass finds the whole span, the vectors that made its
+    # pivots, cut to the pivot columns, have a nonzero determinant over Q
+    rows = sym_power_rows(vecs, 1)
+    cols = sorted(intlinalg._pivot_columns_mod_p(rows, len(vecs[0])))
+    if len(cols) == span:
+        counts = [len(intlinalg._pivot_columns_mod_p(rows[:i], -1)) for i in range(len(rows) + 1)]
+        made = [v for v, a, b in zip(vecs, counts, counts[1:]) if b > a]
+        assert bareiss_det([[v[c] for c in cols] for v in made]) != 0
 
 
 def test_rank_examples():
@@ -681,28 +730,59 @@ def test_matrix_text_roundtrip():
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_intlinalg.py --work checks the sparse
     # eliminator against the dense loop on the Sym2 rows of every spec in
-    # SYM2_RANKS and prints, for each, the certified rank, the rows the
-    # elimination read and the CPU seconds of both loops
+    # SYM2_RANKS and prints, for each, the certified rank, the CPU seconds
+    # of sym_square_rank and of the dense loop, and the work of the three
+    # eliminations: the span pass, the Sym2 pass on the span's pivot
+    # coordinates that sym_square_rank runs, and for comparison the Sym2
+    # pass on the ambient coordinates.  The work is counted here, around
+    # the eliminator: the rows it read, the rows it reduced to zero, and
+    # its entry updates, one per pivot-row entry that _subtract applies
     import json
     import sys
     import time
 
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_intlinalg.py --work")
+
+    def eliminator_work(rows, cap):
+        read = updates = 0
+
+        def counted():
+            nonlocal read
+            for row in rows:
+                read += 1
+                yield row
+
+        def counting_subtract(v, f, row, subtract=intlinalg._subtract):
+            nonlocal updates
+            updates += len(row)
+            subtract(v, f, row)
+
+        with mock.patch.object(intlinalg, "_subtract", counting_subtract):
+            pivots = len(intlinalg._pivot_columns_mod_p(counted(), cap))
+        return {"pivots": pivots, "rows_read": read, "rows_zero": read - pivots,
+                "updates": updates}
+
     for spec in SYM2_RANKS:
         d, vecs = _shortest_vectors(spec)
         cap = comb(d + 1, 2)
-        rows, full = sym_power_rows(vecs, 2), dense_sym_power_rows(vecs, 2)
+        full = dense_sym_power_rows(vecs, 2)
         start = time.process_time()
-        sparse_rank = intlinalg._rank_mod_p(rows, cap)
+        certified = perfection.sym_square_rank(vecs, d)
         mid = time.process_time()
         dense_result = dense_rank_mod_p(full, cap)
         end = time.process_time()
-        assert_stops_with_the_dense_loop(rows, cap, dense_result)
+        ambient = sym_power_rows(vecs, 2)
+        assert_stops_with_the_dense_loop(ambient, cap, dense_result)
+        span, coords = intlinalg.span_coordinates(vecs, d)
+        projected = sym_power_rows(coords, 2)
         print(json.dumps({
-            "spec": spec, "mp": len(vecs), "cap": cap,
-            "certified_rank": perfection.sym_square_rank(vecs, d),
-            "rows_consumed": dense_result[1],
-            "sparse": {"rank": sparse_rank, "cpu_s": round(mid - start, 3)},
-            "dense": {"rank": dense_result[0], "cpu_s": round(end - mid, 3)},
+            "spec": spec, "mp": len(vecs), "cap": cap, "certified_rank": certified,
+            "cpu_s": round(mid - start, 3),
+            "span_pass": eliminator_work(sym_power_rows(vecs, 1), d),
+            "sym2": {"cols": len(set().union(*projected)),
+                     **eliminator_work(projected, comb(span + 1, 2))},
+            "sym2_ambient": {"cols": len(set().union(*ambient)), **eliminator_work(ambient, cap)},
+            "dense": {"rank": dense_result[0], "rows_consumed": dense_result[1],
+                      "cpu_s": round(end - mid, 3)},
         }), flush=True)
