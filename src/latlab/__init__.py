@@ -23,7 +23,7 @@ from .families import (
     parse_family,
     verify_formula,
 )
-from .fields import FiniteField, distinct_root_histogram, field_for_order, parse_field
+from .fields import FiniteField, distinct_root_histogram, field_for_order
 from .groups import (
     FinAbelianGroup,
     abelian_groups_of_order,

@@ -7,7 +7,9 @@ object, CSV tables as (header, rows) pairs); main is the one place that
 renders a result, so no command chooses a format.  graph alone prints its
 adjacency matrix first and returns no CSV tables: it gets JSON whatever the
 format.  Exit codes: 0 success / agreement, 1 verified mismatch, 2 usage
-error, 3 construction error.  Parallelism for row-based commands comes from
+error, 3 construction error; main maps SpecError to 2 and ConstructionError
+to 3, and argparse's own usage errors are raised as SpecError, so they too
+exit 2 with one error: line.  Parallelism for row-based commands comes from
 --jobs or the LATLAB_JOBS environment variable; output is byte-identical for
 every parallelism degree.
 """
@@ -137,10 +139,7 @@ def _cmd_graph(args, cfg: RunConfig):
     if args.norm is not None:
         mvs = lattice.vectors_of_norm(lat, args.norm)
     else:
-        found = lattice.minimum(lat, cfg.norm_cap)
-        if found is None:
-            raise ConstructionError(f"minimum exceeds cap {cfg.norm_cap}")
-        mvs = found[1]
+        mvs = lattice.minimum(lat, cfg.norm_cap)[1]
     base = None
     if args.base_vector:
         base = families.parse_ints(args.base_vector, "base vector")
@@ -168,6 +167,12 @@ def _cmd_craig(args, cfg: RunConfig):
     return EXIT_OK, obj, [(("q", "k", "method", "value"), [(q, k, args.method, value)])]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error reaches main's one handler, which gives it exit 2
+        raise SpecError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # the run options are accepted both before and after the subcommand;
     # SUPPRESS keeps a post-subcommand absence from clobbering a value parsed
@@ -179,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--norm-cap", dest="norm_cap", type=int, default=argparse.SUPPRESS,
                         help="search cap for minimum-norm hunts")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latlab",
         description="Build and analyze integral lattices cut out by congruence constraints.",
         parents=[common],
@@ -236,9 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # an explicit --jobs keeps LATLAB_JOBS from being read at all
         cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
                            if hasattr(args, f.name)})

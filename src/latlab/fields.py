@@ -2,13 +2,15 @@
 
 Fields GF(p^e) are represented by a prime, a degree and a monic irreducible
 modulus polynomial; elements are little-endian coefficient tuples over F_p.
+The families need GF(q) only up to isomorphism, so the package names a field
+by its order alone (field_for_order, which takes the modulus from
+DEFAULT_MODULI); a FiniteField built directly may carry any other modulus.
 Only desk-scale prime powers are needed, so irreducibility is verified by
 brute-force trial division at construction time.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -139,60 +141,18 @@ class FiniteField:
         return self.pow(a, self.order - 2)
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, or SpecError when q is not a prime power."""
+def field_for_order(q: int) -> FiniteField:
+    """The field of order q, with its modulus from DEFAULT_MODULI when q is
+    not prime."""
     factors = factorize(q)
     if len(factors) != 1:
         raise SpecError(f"{q} is not a prime power")
-    return factors[0]
-
-
-def field_for_order(q: int, modulus: tuple[int, ...] | None = None) -> FiniteField:
-    """Field of order q, using the built-in modulus table for prime powers."""
-    p, e = _prime_power(q)
+    p, e = factors[0]
     if e == 1:
-        return FiniteField(p, 1, (0, 1) if modulus is None else modulus)
-    if modulus is None:
-        if q not in DEFAULT_MODULI:
-            raise SpecError(f"no built-in modulus for GF({q}); supply one explicitly")
-        modulus = DEFAULT_MODULI[q]
-    return FiniteField(p, e, modulus)
-
-
-_TERM = re.compile(r"^(\d*)\*?(x(\^(\d+))?)?$")
-
-
-def _parse_poly(text: str, p: int) -> tuple[int, ...]:
-    coeffs: dict[int, int] = {}
-    for raw in text.replace("-", "+-").split("+"):
-        term = raw.strip()
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        m = _TERM.match(term)
-        if not m or (not m.group(1) and not m.group(2)):
-            raise SpecError(f"cannot parse polynomial term {raw!r}")
-        coef = int(m.group(1)) if m.group(1) else 1
-        deg = 0
-        if m.group(2):
-            deg = int(m.group(4)) if m.group(4) else 1
-        coeffs[deg] = (coeffs.get(deg, 0) + (-coef if neg else coef)) % p
-    degree = max(coeffs) if coeffs else 0
-    return tuple(coeffs.get(i, 0) for i in range(degree + 1))
-
-
-def parse_field(text: str) -> FiniteField:
-    """Parse field specs like "GF(7)" or "GF(25;x^2+x+2)"."""
-    m = re.fullmatch(r"GF\((\d+)(?:;([^)]+))?\)", text.strip())
-    if not m:
-        raise SpecError(f"cannot parse field spec {text!r}")
-    q = int(m.group(1))
-    if m.group(2) is None:
-        return field_for_order(q)
-    p, _ = _prime_power(q)
-    return field_for_order(q, _parse_poly(m.group(2), p))
+        return FiniteField(p, 1, (0, 1))
+    if q not in DEFAULT_MODULI:
+        raise SpecError(f"no built-in modulus for GF({q})")
+    return FiniteField(p, e, DEFAULT_MODULI[q])
 
 
 def distinct_root_histogram(field: FiniteField, k: int) -> dict[tuple[Element, ...], int]:

@@ -248,20 +248,22 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     return MinimalVectorSet(m, tuple(found))
 
 
-def minimum(lat: Lattice, search_cap: int = 12) -> tuple[int, MinimalVectorSet] | None:
-    """Smallest norm <= search_cap with nonzero vectors, or None beyond the cap."""
+def minimum(lat: Lattice, search_cap: int = 12) -> tuple[int, MinimalVectorSet]:
+    """The smallest norm <= search_cap with nonzero vectors, and its vectors;
+    ConstructionError when every norm up to the cap is empty."""
     if search_cap < 1:
         raise ValueError("search cap must be positive")
     for m in range(1, search_cap + 1):
         mvs = vectors_of_norm(lat, m)
         if mvs.vectors:
             return m, mvs
-    return None
+    raise ConstructionError(f"minimum exceeds cap {search_cap}")
 
 
 def has_m_lattice_sidon_property(cs: ConstraintSystem, m: int) -> bool:
     """True when every nonzero lattice vector has squared norm >= 2(m+1)."""
-    return minimum(build(cs), 2 * (m + 1) - 1) is None
+    lat = build(cs)
+    return not any(vectors_of_norm(lat, n).vectors for n in range(1, 2 * m + 2))
 
 
 def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVectorSet]:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import families, intlinalg, lattice
-from .errors import ConstructionError, SpecError
+from .errors import SpecError
 from .families import FamilySpec
 from .lattice import Lattice, MinimalVectorSet, sign_canonical
 
@@ -74,10 +74,7 @@ class PerfectionReport:
 
 
 def perfection_report(lat: Lattice, min_cap: int = 12) -> PerfectionReport:
-    found = lattice.minimum(lat, min_cap)
-    if found is None:
-        raise ConstructionError(f"minimum exceeds cap {min_cap}")
-    norm, mvs = found
+    norm, mvs = lattice.minimum(lat, min_cap)
     d = lat.rank
     rank = sym_square_rank(mvs.vectors, d)
     return PerfectionReport(
@@ -109,7 +106,11 @@ def _distinct_line_count(vectors) -> int:
     return len(lines)
 
 
-def alpha_series(vectors, kmax: int, budget: int = 200_000) -> AlphaSeries:
+# the most columns a symmetric-power flattening in alpha_series may have
+_ALPHA_BUDGET = 200_000
+
+
+def alpha_series(vectors, kmax: int) -> AlphaSeries:
     """Dimension sequence of the spans of k-fold symmetric powers, k <= kmax.
 
     The k-th row of the flattening matrix evaluates every degree-k monomial
@@ -123,11 +124,10 @@ def alpha_series(vectors, kmax: int, budget: int = 200_000) -> AlphaSeries:
     vecs = [tuple(v) for v in vectors]
     if not vecs or kmax < 1:
         raise ValueError("need vectors and kmax >= 1")
-    n = len(vecs[0])
     dims = [1]
-    span, coords = intlinalg.span_coordinates(vecs, n)
+    span, coords = intlinalg.span_coordinates(vecs, len(vecs[0]))
     for k in range(1, kmax + 1):
-        if comb(n + k - 1, k) > budget:
+        if comb(len(coords[0]) + k - 1, k) > _ALPHA_BUDGET:
             raise ValueError("symmetric power budget exceeded")
         dims.append(_sym_power_rank(coords, k, span))
     return AlphaSeries(tuple(dims), stabilized=dims[-1] == _distinct_line_count(vecs))

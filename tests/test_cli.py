@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latlab.cli import _decimal, main
+from latlab import tables
+from latlab.cli import _build_parser, _decimal, main
+from latlab.groups import FinAbelianGroup
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +48,14 @@ def test_construction_error_exits_3(capsys):
     code, _, err = run_cli(capsys, "build", "Craig:q=4,k=2")
     assert code == 3
     assert "characteristic" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("analyze", "Sidon:Z/7:set=0,1,3"), 12),
+    (("--norm-cap", "5", "graph", "Craig:q=7,k=2"), 5),
+])
+def test_minimum_beyond_the_cap_exits_3(capsys, argv, cap):
+    assert run_cli(capsys, *argv) == (3, "", f"error: minimum exceeds cap {cap}\n")
 
 
 def test_craig_histogram_construction_error_exits_3(capsys):
@@ -212,9 +227,15 @@ def test_bad_jobs_value(capsys):
     ("scan-D", "--dmax", "-3"),
     ("scan-D", "--dmax", "8"),  # above the tail bound 7 of no exclusions
     ("scan-D", "--excl", "6", "--dmax", "20"),  # above the tail bound 15
+    # argparse's own usage errors
+    ("--jobs", "abc", "build", "Ld:5"),
+    (),
+    ("nope",),
+    ("minvec", "Ld:5"),
+    ("--format", "xml", "build", "Ld:5"),
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
-    name, _, value = argv[0].partition("=")
+    name, _, value = (argv[0] if argv else "").partition("=")
     if value:
         monkeypatch.setenv(name, value)
         argv = argv[1:]
@@ -304,3 +325,122 @@ def test_csv_outputs(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "build", "Ld:7")
     assert code == 0
     assert "det,540" in out
+
+
+# characters a mutation may insert: no digit, so it never enlarges a number,
+# and no 'h', so no abbreviation of --help can form
+_JUNK = "LAOdMTxZF/+^:=,-_ ."
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with one or two characters deleted or junk characters inserted."""
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(text)))
+        if i < len(text) and draw(st.booleans()):
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + draw(st.sampled_from(_JUNK)) + text[i:]
+    return text
+
+
+@st.composite
+def _group(draw, max_order):
+    factors = [draw(st.integers(2, max_order))]
+    while max_order // prod(factors) >= 2 and draw(st.booleans()):
+        factors.append(draw(st.integers(2, max_order // prod(factors))))
+    return FinAbelianGroup(tuple(factors))
+
+
+@st.composite
+def _spec(draw, d_max=10, order_max=16, q_max=13, c_max=4):
+    tag = draw(st.sampled_from(("Ld", "Od", "Md", "LA", "LAsub", "Mneg", "Sidon", "T",
+                                "Craig", "SidonInv")))
+    if tag in ("Ld", "Od", "Md"):
+        d = draw(st.integers(1, d_max))
+        text = f"{tag}:{d}"
+        if draw(st.booleans()):
+            excl = draw(st.lists(st.integers(0, d + 6), min_size=1, max_size=2))
+            text += ":excl=" + ",".join(map(str, excl))
+    elif tag == "T":
+        text = f"T:{draw(st.integers(1, c_max))}"
+    elif tag in ("Craig", "SidonInv"):
+        pairs = [f"q={draw(st.integers(2, q_max))}"]
+        if tag == "Craig":
+            pairs.append(f"k={draw(st.integers(1, 3))}")
+        text = f"{tag}:" + ",".join(draw(st.permutations(pairs)))
+    else:
+        group = draw(_group(order_max))
+        element = st.tuples(*(st.integers(0, m - 1) for m in group.factors)).map(group.label)
+        text = f"{tag}:{group}"
+        if tag == "LAsub":
+            text += ":drop=" + draw(element)
+        elif tag == "Sidon":
+            text += ":set=" + ",".join(draw(st.lists(element, min_size=1, max_size=4)))
+    return text
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed argv, sizes bounded, that may then lose a token, gain
+    a stray one or have one token mutated."""
+    command = draw(st.sampled_from(("build", "analyze", "minvec", "verify", "table", "scan-D",
+                                    "graph", "craig")))
+    if command == "table":
+        args = [draw(st.sampled_from(tables.TABLE_IDS))]
+    elif command == "scan-D":
+        excl = draw(st.lists(st.integers(0, 12), max_size=2))
+        args = ["--excl", ",".join(map(str, excl)), "--dmax", str(draw(st.integers(1, 10)))]
+    elif command == "craig":
+        args = ["--q", str(draw(st.integers(2, 13))), "--k", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            args += ["--method", draw(st.sampled_from(("formula", "histogram", "enumerate")))]
+    elif command == "graph":
+        # the graph's vertex count, and with it the cost of its spectrum,
+        # grows fast with the lattice, so graphs stay smaller
+        args = [draw(_spec(d_max=8, order_max=9, q_max=7, c_max=3))]
+        if draw(st.booleans()):
+            args += ["--norm", str(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            args += ["--product", str(draw(st.integers(-2, 2)))]
+        if draw(st.booleans()):
+            base = draw(st.lists(st.integers(-1, 1), max_size=10))
+            args += ["--base-vector", ",".join(map(str, base))]
+    else:
+        args = [draw(_spec())]
+        if command == "minvec":
+            args += ["--norm", str(draw(st.integers(1, 6)))]
+    options = []
+    for flag, values in (("--format", st.sampled_from(("json", "csv"))),
+                         ("--jobs", st.integers(1, 2).map(str)),
+                         ("--norm-cap", st.integers(1, 12).map(str))):
+        if draw(st.booleans()):
+            options.append([flag, draw(values)])
+    split = draw(st.integers(0, len(options)))
+    argv = [x for pair in options[:split] for x in pair] + [command, *args]
+    argv += [x for pair in options[split:] for x in pair]
+    edit = draw(st.sampled_from(("keep", "keep", "mutate", "drop", "insert")))
+    if edit == "mutate":
+        i = draw(st.integers(0, len(argv) - 1))
+        argv[i] = draw(_mutated(argv[i]))
+    elif edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "insert":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--norm", "--product", "--", "-", "")) | _mutated("")))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert _build_parser().parse_args(argv).command in ("verify", "table")
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()

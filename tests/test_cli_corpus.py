@@ -92,6 +92,16 @@ _BUILDS = (
     "SidonInv:q=4", "Sidon:Z/8:set=0,1,2",
 )
 
+# the one analyze whose params carry a set, and three exit-2 inputs that no
+# other entry reaches: a prime power with no built-in modulus, an unknown
+# spec field and a base vector of the wrong length
+_BRANCHES = (
+    ("analyze", "Sidon:Z/13:set=0,1,3,9"),
+    ("build", "Craig:q=32,k=2"),
+    ("build", "Ld:7:foo"),
+    ("graph", "Ld:5", "--base-vector", "1,1"),
+)
+
 
 def corpus_argvs() -> list[list[str]]:
     out = []
@@ -108,6 +118,7 @@ def corpus_argvs() -> list[list[str]]:
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
     out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK]
     out += [["build", spec] for spec in _BUILDS]
+    out += [list(cmd) for cmd in _BRANCHES]
     return out
 
 

@@ -9,22 +9,24 @@ from latlab.fields import (
     FiniteField,
     distinct_root_histogram,
     field_for_order,
-    parse_field,
 )
 
 
-def test_parse_field():
-    f = parse_field("GF(7)")
+def test_field_for_order():
+    f = field_for_order(7)
     assert (f.p, f.e) == (7, 1)
-    f = parse_field("GF(25;x^2+x+2)")
+    f = field_for_order(25)
     assert (f.p, f.e, f.modulus) == (5, 2, (2, 1, 1))
-    with pytest.raises(SpecError):
-        parse_field("GF(6)")
-    with pytest.raises(SpecError):
-        parse_field("GF(9;x^2+2x+1)")  # (x+1)^2 is reducible
-    for text in ("GF(1;x)", "GF(0;x)", "GF(1)", "GF(6;x)"):
+    for q in (0, 1, 6):
         with pytest.raises(SpecError, match="not a prime power"):
-            parse_field(text)
+            field_for_order(q)
+    with pytest.raises(SpecError, match="no built-in modulus for GF\\(32\\)"):
+        field_for_order(32)
+
+
+def test_reducible_modulus_is_refused():
+    with pytest.raises(SpecError, match="reducible"):
+        FiniteField(3, 2, (1, 2, 1))  # x^2 + 2x + 1 = (x + 1)^2
 
 
 def test_builtin_moduli_are_irreducible():

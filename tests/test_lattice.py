@@ -76,7 +76,8 @@ def test_minimum_examples():
 
 def test_minimum_exceeds_cap():
     lat = families.build_family("Craig:q=7,k=2")
-    assert minimum(lat, 5) is None
+    with pytest.raises(ConstructionError, match="minimum exceeds cap 5"):
+        minimum(lat, 5)
 
 
 def test_contains_examples():

@@ -113,8 +113,13 @@ def test_alpha_series_monotone_and_L7():
 
 
 def test_alpha_series_budget():
+    # the guard counts the columns of the flattening on the span's
+    # coordinates: one for a single line, comb(29 + k, k) for 30 unit
+    # vectors, which passes 200,000 at k = 5
+    assert alpha_series([(1,) * 30], kmax=12).dims == (1,) * 13
+    units = [tuple(int(i == j) for j in range(30)) for i in range(30)]
     with pytest.raises(ValueError, match="budget"):
-        alpha_series([(1,) * 30], kmax=12, budget=1000)
+        alpha_series(units, kmax=5)
 
 
 def test_hyperplane_split_checks():
@@ -180,7 +185,7 @@ def test_scanned_Ld_lattices_have_no_vectors_below_norm_4():
     for a1, _ in tables._D_SCAN_K1:
         for d in range(1, 16):
             lat = families.build_family(families.FamilySpec("Ld", d=d, excl=(a1,)))
-            assert lattice.minimum(lat, 3) is None, (a1, d)
+            assert not any(lattice.vectors_of_norm(lat, m).vectors for m in (1, 2, 3)), (a1, d)
 
 
 def test_pattern_decompose():
@@ -278,6 +283,25 @@ def test_neighbor_survey_d20():
         got = next(s for s in stats if (s.gamma, s.delta) == (expected.gamma, expected.delta)
                    and s.count == expected.count)
         assert got is not None
+
+
+def _graph(edges, n):
+    adj = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        adj[i][j] = adj[j][i] = 1
+    return perfection.MinVectorGraph(tuple((i,) for i in range(n)),
+                                     tuple(tuple(row) for row in adj))
+
+
+def test_srg_parameters_refuse_regular_graphs_that_are_not_strongly_regular():
+    # the triangular prism is 3-regular, but a triangle edge has one common
+    # neighbor and a rung none
+    prism = _graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)], 6)
+    assert prism.degrees() == [3] * 6
+    assert prism.srg_parameters() is None
+    # K4 has no non-adjacent pair, so mu is undefined
+    k4 = _graph([(i, j) for i in range(4) for j in range(i + 1, 4)], 4)
+    assert k4.srg_parameters() is None
 
 
 def test_schlafli_graph():

@@ -27,3 +27,40 @@ def test_only_cli_main_renders_a_result():
         if isinstance(node, ast.Name) and node.id in ("_emit_json", "_emit_csv")
     ]
     assert not found, found
+
+
+def _top_level_private_names(tree):
+    """(name, defining node) for every _-prefixed top-level function, class
+    or constant that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_has_a_caller():
+    # a helper left behind by a deletion is referenced nowhere in the
+    # package outside its own definition
+    package = Path(latlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    references: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, set()).add(id(node))
+    found = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, definition in _top_level_private_names(tree)
+        if not references.get(name, set()) - {id(node) for node in ast.walk(definition)}
+    ]
+    assert not found, found
