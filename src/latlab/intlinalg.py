@@ -271,7 +271,10 @@ def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     degree-k flattenings of the restricted vectors use at most
     comb(s + k - 1, k) columns, the cap itself.
     """
-    cols = set(_pivot_columns_mod_p(sym_power_rows(vectors, 1), cap))
+    # shortest-vector lists are sorted with the first nonzero entry positive,
+    # so the vectors that use coordinate 0 come last: read last-first, the
+    # pass meets every coordinate early and reaches the cap in fewer rows
+    cols = set(_pivot_columns_mod_p(sym_power_rows(vectors[::-1], 1), cap))
     span = cap if len(cols) == cap else rank(vectors)
     if len(cols) < span:
         return span, list(vectors)

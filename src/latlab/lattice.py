@@ -5,11 +5,10 @@ meaning equality over Z) and carries a canonical HNF basis, its Gram matrix
 and its determinant.  Vectors of a prescribed squared norm are enumerated two
 independent ways:
 
-* ``vectors_of_norm`` walks square patterns of the target norm over supports
-  and signs in the ambient space, pruning with interval bounds on the
-  equality rows, and finds the last two placements by lookup in tables
-  keyed by what a coordinate or a pair of coordinates adds to the row sums,
-  so congruence rows prune at those two levels as well;
+* ``vectors_of_norm`` walks supports and signs in the ambient space over
+  the remaining norm, pruning with interval bounds on the equality rows, and
+  finds the last two coordinates by one lookup in a table keyed by what a
+  pair adds to every row sum, so congruence rows prune there as well;
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
   coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
   integers throughout.  With the basis's integral Gram-Schmidt data d_i and
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import isqrt, lcm
 
 from . import intlinalg
@@ -139,19 +138,18 @@ def square_patterns(m: int, cap: int | None = None) -> list[tuple[int, ...]]:
 def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     """Complete sign-canonical set of lattice vectors of squared norm m.
 
-    Enumerates square patterns of m, then supports in increasing coordinate
-    order, then signs (the first support coordinate is forced positive).
-    Equality rows prune partial assignments through interval bounds on what
-    the unplaced values can still contribute.  The last two placements are
-    looked up, not searched.  A coordinate idx holding signed value s has
-    the key (w[idx] s for each equality row, w[idx] s mod q for each
-    congruence row of modulus q), and the walk carries every row's running
-    sum, so the coordinates still to place must have the summed key
-    (-sums, -sums mod q).  A table from that key to the sorted index tuples
-    (i < j for two values) holding a given tuple of signed values is built
-    the first time the walk needs it and lives for this call only.  So
-    congruence rows prune at the last two levels instead of being checked on
-    complete supports.
+    One walk places support coordinates in increasing order, each with a
+    nonzero value out of the remaining norm budget r, the first one positive.
+    As |x| <= x^2, the unplaced values add at most r times the largest later
+    weight to an equality row's sum, which prunes the walk.  Each node then
+    looks up the last two coordinates i < j: holding x_i, x_j they add the
+    key (w_i x_i + w_j x_j per equality row, that sum mod q per congruence
+    row of modulus q) to the running row sums, so the pair must have the key
+    (-sums, -sums mod q).  The table from that key to the sorted
+    (i, j, x_i, x_j) with x_i^2 + x_j^2 = r is built when the walk first asks
+    for r and lives for this call.  A vector with support s >= 2 is found
+    only at the node holding its first s - 2 coordinates, so exactly once;
+    support 1 is checked directly.
     """
     if m < 1:
         raise ValueError("norm must be positive")
@@ -168,82 +166,62 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
         for j in range(n - 1, -1, -1):
             sm[j] = max(sm[j + 1], abs(w[j]))
         sufmax.append(sm)
-    tables: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    tables: dict[int, dict[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
 
-    def table(signs: tuple[int, ...]) -> dict:
-        if signs not in tables:
-            tab = tables[signs] = {}
-            for idxs in combinations(range(n), len(signs)):
-                key = []
-                for t, mod in enumerate(mods):
-                    x = sum(cols[i][t] * s for i, s in zip(idxs, signs))
-                    key.append(x % mod if mod else x)
-                tab.setdefault(tuple(key), []).append(idxs)
-        return tables[signs]
-
-    def lookups(left: list[int], root: bool) -> list:
-        # the (signs, table) pairs that place the values left in every order
-        # and sign; with nothing placed yet, the lowest index is the first
-        # support coordinate and takes the positive sign
-        out = []
-        for order in set(permutations(left)):
-            for signs in product(*((v, -v) for v in order)):
-                if not (root and signs[0] < 0):
-                    out.append((signs, table(signs)))
-        return out
+    def pairs(r: int) -> dict:
+        if r not in tables:
+            tab = tables[r] = {}
+            for a in range(1, isqrt(r - 1) + 1):
+                b = isqrt(r - a * a)
+                if b * b != r - a * a:
+                    continue
+                for x, y in ((a, b), (a, -b), (-a, b), (-a, -b)):
+                    for i, j in combinations(range(n), 2):
+                        key = tuple([(u * x + v * y) % mod if mod else u * x + v * y
+                                     for u, v, mod in zip(cols[i], cols[j], mods)])
+                        tab.setdefault(key, []).append((i, j, x, y))
+            for hits in tab.values():
+                hits.sort()
+        return tables[r]
 
     found: list[tuple[int, ...]] = []
-    for pattern in square_patterns(m):
-        if len(pattern) > n:
-            continue
-        vals = sorted(set(pattern), reverse=True)
-        remaining = {v: pattern.count(v) for v in vals}
-        picks: list[tuple[int, int]] = []
-        sums = [0] * len(rows)
-        # (unplaced counts, nothing placed yet) -> the lookups finishing a walk
-        plans: dict[tuple, list] = {}
+    picks: list[tuple[int, int]] = []
+    sums = [0] * len(rows)
 
-        def place(lo: int, need: int, remsum: int) -> None:
-            if need <= 2:
-                state = (tuple(remaining.values()), not picks)
-                plan = plans.get(state)
-                if plan is None:
-                    left = [v for v in vals for _ in range(remaining[v])]
-                    plan = plans[state] = lookups(left, not picks)
-                target = tuple([(-x) % mod if mod else -x for x, mod in zip(sums, mods)])
-                for signs, tab in plan:
-                    hits = tab.get(target)
-                    if hits:
-                        for idxs in hits[bisect_left(hits, (lo,)):]:
-                            vec = [0] * n
-                            for i, x in picks:
-                                vec[i] = x
-                            for i, x in zip(idxs, signs):
-                                vec[i] = x
-                            found.append(tuple(vec))
-                return
-            for idx in range(lo, n - need + 1):
-                col = cols[idx]
-                for v in vals:
-                    if not remaining[v]:
-                        continue
-                    remaining[v] -= 1
-                    rs = remsum - v
-                    for sval in (v,) if not picks else (v, -v):
-                        for t, c in enumerate(col):
-                            sums[t] += c * sval
-                        for t in range(nz):
-                            if abs(sums[t]) > rs * sufmax[t][idx + 1]:
-                                break
-                        else:
-                            picks.append((idx, sval))
-                            place(idx + 1, need - 1, rs)
-                            picks.pop()
-                        for t, c in enumerate(col):
-                            sums[t] -= c * sval
-                    remaining[v] += 1
+    def place(lo: int, r: int) -> None:
+        hits = pairs(r).get(tuple([(-x) % mod if mod else -x for x, mod in zip(sums, mods)]), ())
+        for i, j, x, y in hits[bisect_left(hits, (lo,)):]:
+            if picks or x > 0:
+                vec = [0] * n
+                for k, z in picks:
+                    vec[k] = z
+                vec[i], vec[j] = x, y
+                found.append(tuple(vec))
+        if r < 3:
+            return
+        for idx in range(lo, n - 2):
+            col = cols[idx]
+            for a in range(1, isqrt(r - 2) + 1):
+                rs = r - a * a
+                for x in (a, -a) if picks else (a,):
+                    for t, c in enumerate(col):
+                        sums[t] += c * x
+                    for t in range(nz):
+                        if abs(sums[t]) > rs * sufmax[t][idx + 1]:
+                            break
+                    else:
+                        picks.append((idx, x))
+                        place(idx + 1, rs)
+                        picks.pop()
+                    for t, c in enumerate(col):
+                        sums[t] -= c * x
 
-        place(0, len(pattern), sum(pattern))
+    root = isqrt(m)
+    if root * root == m:
+        for idx, col in enumerate(cols):
+            if not any((c * root) % mod if mod else c for c, mod in zip(col, mods)):
+                found.append(tuple(root if k == idx else 0 for k in range(n)))
+    place(0, m)
     found.sort()
     return MinimalVectorSet(m, tuple(found))
 

@@ -8,7 +8,8 @@ covers the README CLI examples in json and csv at ``--jobs 1`` and
 methods, one build/analyze/minvec/verify per family tag, and the graph and
 scan-D outputs whose spectrum, srg or D is null or unresolved, the
 graphs whose characteristic polynomial has large or irrational-root
-coefficients, two analyses with large symmetric-square ranks, and builds
+coefficients, two analyses with large symmetric-square ranks, shortest
+vectors at the enumerator's edges (support 1, entries of 3), and builds
 over prime-power fields, multi-factor groups, the edges of the exclusion
 windows and construction failures.
 
@@ -80,6 +81,16 @@ _SYM_RANK = (
     ("analyze", "LA:Z/32"),
 )
 
+# minvec inputs that reach the enumerator's edges: support-1 vectors held by
+# congruence rows alone and under a mod-2 head row, entries of absolute value
+# 3 or more, and an equality row with entries of 3
+_NORMS = (
+    ("minvec", "T:3", "--norm", "4"),
+    ("minvec", "Mneg:Z/16", "--norm", "4"),
+    ("minvec", "T:3", "--norm", "12"),
+    ("minvec", "Od:5", "--norm", "12"),
+)
+
 
 # builds: fields with e > 1, a rank-1 label, multi-factor groups, exclusions
 # at the edges of each window, and the two exit-3 constructions
@@ -116,7 +127,7 @@ def corpus_argvs() -> list[list[str]]:
     for spec, norm in _FAMILIES:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
-    out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK]
+    out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK + _NORMS]
     out += [["build", spec] for spec in _BUILDS]
     out += [list(cmd) for cmd in _BRANCHES]
     return out

@@ -395,12 +395,13 @@ def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
     assert perfection.sym_square_rank(vecs) == expected
     assert perfection.sym_square_rank(vecs, span + slack) == expected
     # when the modular pass finds the whole span, the vectors that made its
-    # pivots, cut to the pivot columns, have a nonzero determinant over Q
-    rows = sym_power_rows(vecs, 1)
+    # pivots, cut to the pivot columns, have a nonzero determinant over Q;
+    # the pass reads the vectors last-first, as span_coordinates does
+    rows = sym_power_rows(vecs[::-1], 1)
     cols = sorted(intlinalg._pivot_columns_mod_p(rows, len(vecs[0])))
     if len(cols) == span:
         counts = [len(intlinalg._pivot_columns_mod_p(rows[:i], -1)) for i in range(len(rows) + 1)]
-        made = [v for v, a, b in zip(vecs, counts, counts[1:]) if b > a]
+        made = [v for v, a, b in zip(vecs[::-1], counts, counts[1:]) if b > a]
         assert bareiss_det([[v[c] for c in cols] for v in made]) != 0
 
 
@@ -779,7 +780,7 @@ if __name__ == "__main__":
         print(json.dumps({
             "spec": spec, "mp": len(vecs), "cap": cap, "certified_rank": certified,
             "cpu_s": round(mid - start, 3),
-            "span_pass": eliminator_work(sym_power_rows(vecs, 1), d),
+            "span_pass": eliminator_work(sym_power_rows(vecs[::-1], 1), d),
             "sym2": {"cols": len(set().union(*projected)),
                      **eliminator_work(projected, comb(span + 1, 2))},
             "sym2_ambient": {"cols": len(set().union(*ambient)), **eliminator_work(ambient, cap)},

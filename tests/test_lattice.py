@@ -387,9 +387,11 @@ def test_enumeration_matches_the_reference_walk_and_the_oracle_on_mixed_rows(cs)
 
 
 def test_enumeration_edge_cases():
-    # patterns of one and two values at the root, where only the lowest
-    # support coordinate is forced positive; no rows at all; patterns longer
-    # than the ambient dimension; systems of congruence rows alone
+    # supports of one and two coordinates at the root, where only the lowest
+    # support coordinate is forced positive; no rows at all; norms that need
+    # more coordinates than the ambient dimension has; systems of congruence
+    # rows alone; and at norms 9-13, the value 3 alone at the root, the
+    # unequal pair 1 + 9 at the root and deeper, and 4 + 9 at the root
     z1, z2 = build(_cs(1, [])), build(_cs(2, []))
     assert vectors_of_norm(z1, 1).vectors == ((1,),)
     assert vectors_of_norm(z1, 4).vectors == ((2,),)
@@ -398,12 +400,12 @@ def test_enumeration_edge_cases():
     assert vectors_of_norm(z2, 5).vectors == ((1, -2), (1, 2), (2, -1), (2, 1))
     assert vectors_of_norm(z2, 3).vectors == ()
     cases = [
-        (z1, range(1, 9)),
-        (z2, range(1, 9)),
-        (build(_cs(3, [])), range(1, 9)),
-        (build(_cs(2, [((1, 1), 0)])), range(1, 9)),
-        (build(_cs(2, [((1, 2), 5)])), range(1, 9)),
-        (build(_cs(3, [((1, 2, 3), 4), ((1, 1, 1), 2)])), range(1, 9)),
+        (z1, range(1, 14)),
+        (z2, range(1, 14)),
+        (build(_cs(3, [])), range(1, 14)),
+        (build(_cs(2, [((1, 1), 0)])), range(1, 14)),
+        (build(_cs(2, [((1, 2), 5)])), range(1, 14)),
+        (build(_cs(3, [((1, 2, 3), 4), ((1, 1, 1), 2)])), range(1, 14)),
         (families.build_family("Mneg:Z/16"), range(1, 9)),
         # one equality row, and the congruence row modulo 32 does the pruning
         (families.build_family("LA:Z/32"), (4,)),
@@ -418,3 +420,47 @@ def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
     lat = families.build_family(families.parse_family(spec, strict=False))
     for m in range(1, (10 if lat.rank <= 9 else 8) + 1):
         assert vectors_of_norm(lat, m) == support_sign_reference(lat, m), m
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_lattice.py --work prints, for the
+    # perfbench analyze specs at norms 1-4 and the criterion-8 specs at norm
+    # 8, the vectors that vectors_of_norm finds and its walk nodes.  A node
+    # is one call of the function named place nested in lattice.py, counted
+    # here by a profile hook, so the count needs no hook inside the package
+    import sys
+
+    from latlab import lattice
+
+    if sys.argv[1:] != ["--work"]:
+        sys.exit("usage: test_lattice.py --work")
+
+    def walk_work(lat, m):
+        nodes = 0
+
+        def count_places(frame, event, arg):
+            nonlocal nodes
+            code = frame.f_code
+            if event == "call" and (code.co_filename, code.co_name) == (lattice.__file__, "place"):
+                nodes += 1
+
+        sys.setprofile(count_places)
+        try:
+            found = vectors_of_norm(lat, m).count
+        finally:
+            sys.setprofile(None)
+        return {"found": found, "nodes": nodes}
+
+    analyze_specs = ("Ld:26", "LA:Z/24", "Od:20", "Md:20", "Mneg:Z/30", "T:4",
+                     "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
+    for corpus, specs, norms in (("analyze", analyze_specs, range(1, 5)),
+                                 ("criterion 8", ORACLE_SPECS, (8,))):
+        total = {"found": 0, "nodes": 0}
+        for spec in specs:
+            lat = families.build_family(families.parse_family(spec, strict=False))
+            work = {m: walk_work(lat, m) for m in norms}
+            for w in work.values():
+                total["found"] += w["found"]
+                total["nodes"] += w["nodes"]
+            print(json.dumps({"corpus": corpus, "spec": spec, "norms": work}), flush=True)
+        print(json.dumps({"corpus": corpus, "total": total}), flush=True)
