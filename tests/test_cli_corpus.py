@@ -82,11 +82,11 @@ _SYM_RANK = (
 )
 
 # minvec inputs that reach the enumerator's edges: support-1 vectors held by
-# congruence rows alone and under a mod-2 head row, entries of absolute value
-# 3 or more, and an equality row with entries of 3
+# congruence rows alone, entries of absolute value 3 or more, and an equality
+# row with entries of 3 (support-1 vectors under a mod-2 head row are the
+# _FAMILIES entry "Mneg:Z/16" at norm 4)
 _NORMS = (
     ("minvec", "T:3", "--norm", "4"),
-    ("minvec", "Mneg:Z/16", "--norm", "4"),
     ("minvec", "T:3", "--norm", "12"),
     ("minvec", "Od:5", "--norm", "12"),
 )
