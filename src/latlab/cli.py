@@ -141,7 +141,7 @@ def _cmd_graph(args, cfg: RunConfig):
     else:
         mvs = lattice.minimum(lat, cfg.norm_cap)[1]
     base = None
-    if args.base_vector:
+    if args.base_vector is not None:
         base = families.parse_ints(args.base_vector, "base vector")
         if len(base) != lat.ambient_dim:
             raise SpecError("base vector length does not match ambient dimension")

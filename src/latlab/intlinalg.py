@@ -21,7 +21,7 @@ module provides the primitives the rest of the package is built on:
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
-  61-bit primes and the Chinese remainder theorem.
+  one Mersenne prime above twice Hadamard's bound on the coefficients.
 """
 
 from __future__ import annotations
@@ -390,48 +390,9 @@ def gram_det(B) -> int:
     return d
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_COUNT = 1024
-_PRIMES = [_CERT_PRIME]
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the prime bases up to 37 decide every n
-    below 318665857834031151167461 (about 3.2 * 10**23), the least strong
-    pseudoprime to all of them (Sorenson and Webster 2015)."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(i: int) -> int:
-    """Entry i of the fixed list of the _PRIME_COUNT largest primes below
-    2**61 in descending order, found on first use and cached."""
-    if i >= _PRIME_COUNT:
-        raise ArithmeticError(f"characteristic polynomial needs more than {_PRIME_COUNT} primes")
-    while len(_PRIMES) <= i:
-        q = _PRIMES[-1] - 2
-        while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[i]
+# exponents e of Mersenne primes 2**e - 1, each proved prime by the
+# Lucas-Lehmer test in the tests; the first gives _CERT_PRIME
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
 def _char_poly_mod_p(M, p: int) -> list[int]:
@@ -481,17 +442,16 @@ def _char_poly_mod_p(M, p: int) -> list[int]:
 def char_poly(M) -> list[int]:
     """Coefficients of det(t*I - M), highest degree first (monic).
 
-    Multi-modular Hessenberg method (Cohen, A Course in Computational
+    Hessenberg method modulo one prime (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.2.9).  Coefficient c_j is (-1)^j times
     the sum of the C(n, j) principal j x j minors, and by Hadamard's
     inequality each of those is at most B^j in absolute value, where B^2 is
-    the largest squared row norm of M; so |c_j| <= C(n, j) B^j.  Primes are
-    taken in order from a fixed list below 2**61 until their product exceeds
-    twice the largest of these bounds; the residues are joined by the
-    Chinese remainder theorem and the symmetric residue is the exact
-    coefficient.  Hessenberg reduction and its recurrence use only field
-    operations, valid over every field, so every prime gives the true residue
-    of every coefficient: no prime is unlucky and no prime is skipped.
+    the largest squared row norm of M; so |c_j| <= C(n, j) B^j.  The prime p
+    is the smallest Mersenne prime 2**e - 1 of _MERSENNE_EXPONENTS above
+    twice the largest of these bounds, so each c_j lies in (-p/2, p/2) and is
+    the symmetric residue of c_j mod p.  Hessenberg reduction and its
+    recurrence use only field operations, valid over every field, so the
+    prime gives the true residue of every coefficient: no prime is unlucky.
     """
     n = len(M)
     for row in M:
@@ -499,18 +459,12 @@ def char_poly(M) -> list[int]:
             raise ValueError("characteristic polynomial needs a square matrix")
     S = max((sum(x * x for x in row) for row in M), default=0)
     bound = max(comb(n, j) * (isqrt(S**j) + 1) for j in range(n + 1))
-    residues = [0] * (n + 1)
-    modulus = 1
-    i = 0
-    while modulus <= 2 * bound:
-        p = _prime(i)
-        i += 1
-        inv = pow(modulus, -1, p)
-        residues = [x + modulus * ((r - x) * inv % p)
-                    for x, r in zip(residues, _char_poly_mod_p(M, p))]
-        modulus *= p
-    half = modulus // 2
-    return [x - modulus if x > half else x for x in reversed(residues)]
+    p = next((q for e in _MERSENNE_EXPONENTS if (q := (1 << e) - 1) > 2 * bound), None)
+    if p is None:
+        raise ArithmeticError("characteristic polynomial needs a prime above "
+                              f"2**{_MERSENNE_EXPONENTS[-1]} - 1")
+    half = p // 2
+    return [x - p if x > half else x for x in reversed(_char_poly_mod_p(M, p))]
 
 
 def format_matrix(M) -> str:

@@ -351,38 +351,21 @@ class MinVectorGraph:
     def srg_parameters(self) -> tuple[int, int, int, int] | None:
         """(v, k, lambda, mu) when the graph is strongly regular, else None.
 
-        Verified through the exact matrix identity
-        A^2 = k I + lambda A + mu (J - I - A).
+        The graph is strongly regular when every vertex has the same degree
+        k, every two adjacent vertices have the same number lambda of common
+        neighbors, and every two non-adjacent vertices the same number mu.
+        The common neighbors of i and j are the intersection of their
+        neighbor sets.
         """
-        n = self.order
-        degs = self.degrees()
-        if n == 0 or len(set(degs)) != 1:
-            return None
-        k = degs[0]
-        A = [list(row) for row in self.adjacency]
-        A2 = intlinalg.mat_mul(A, A)
-        lam: int | None = None
-        mu: int | None = None
-        for i in range(n):
-            if A2[i][i] != k:
-                return None
-            for j in range(n):
-                if i == j:
-                    continue
-                common = A2[i][j]
-                if A[i][j]:
-                    if lam is None:
-                        lam = common
-                    elif lam != common:
-                        return None
-                else:
-                    if mu is None:
-                        mu = common
-                    elif mu != common:
-                        return None
-        if lam is None or mu is None:
-            return None
-        return (n, k, lam, mu)
+        nbrs = [{j for j, a in enumerate(row) if a} for row in self.adjacency]
+        lam: set[int] = set()
+        mu: set[int] = set()
+        for i, j in combinations(range(self.order), 2):
+            (lam if j in nbrs[i] else mu).add(len(nbrs[i] & nbrs[j]))
+        degrees = set(map(len, nbrs))
+        if len(degrees) == len(lam) == len(mu) == 1:
+            return (self.order, degrees.pop(), lam.pop(), mu.pop())
+        return None
 
     def char_poly(self) -> list[int]:
         return intlinalg.char_poly([list(row) for row in self.adjacency])

@@ -4,6 +4,7 @@ They are the plain loops that the package's faster code replaced, kept as
 they were; the package itself does not need them.
 """
 
+from latlab import intlinalg
 from latlab.lattice import MinimalVectorSet, square_patterns
 
 
@@ -100,3 +101,40 @@ def neighbor_counts_reference(targets, vectors):
                 count += 1
         counts.append(count)
     return counts
+
+
+def srg_by_matrix_identity(adjacency):
+    """(v, k, lambda, mu) when the graph is strongly regular, else None.
+
+    Verified through the exact matrix identity
+    A^2 = k I + lambda A + mu (J - I - A).
+    """
+    n = len(adjacency)
+    degs = [sum(row) for row in adjacency]
+    if n == 0 or len(set(degs)) != 1:
+        return None
+    k = degs[0]
+    A = [list(row) for row in adjacency]
+    A2 = intlinalg.mat_mul(A, A)
+    lam: int | None = None
+    mu: int | None = None
+    for i in range(n):
+        if A2[i][i] != k:
+            return None
+        for j in range(n):
+            if i == j:
+                continue
+            common = A2[i][j]
+            if A[i][j]:
+                if lam is None:
+                    lam = common
+                elif lam != common:
+                    return None
+            else:
+                if mu is None:
+                    mu = common
+                elif mu != common:
+                    return None
+    if lam is None or mu is None:
+        return None
+    return (n, k, lam, mu)

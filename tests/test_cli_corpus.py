@@ -67,11 +67,14 @@ _NULL_PATHS = (
 )
 
 # characteristic polynomials with coefficients of more than 61 bits or
-# irrational roots
+# irrational roots, and coefficient bounds of 76 and 133 bits, just past the
+# primes 2^61 - 1 and 2^127 - 1
 _CHAR_POLY = (
     ("graph", "LA:Z/9", "--norm", "4"),
     ("graph", "Ld:8"),
     ("graph", "Mneg:Z/16"),
+    ("graph", "Ld:7"),
+    ("graph", "Craig:q=11,k=2", "--product", "2"),
 )
 
 # Sym2 ranks over several thousand rows: the sparse modular eliminator's

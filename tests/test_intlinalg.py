@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, isqrt, prod
 from unittest import mock
 
 import pytest
@@ -478,12 +478,18 @@ def _strictly_upper(M):
     return [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(M)]
 
 
-# general (non-symmetric) squares, squares with a forced zero row (singular)
-# and strictly upper-triangular squares (nilpotent)
+def _scaled(M, c):
+    return [[c * x for x in row] for row in M]
+
+
+# general (non-symmetric) squares, squares with a forced zero row (singular),
+# strictly upper-triangular squares (nilpotent) and squares scaled by up to
+# 2**200, whose coefficient bounds reach the primes above 2**127 - 1
 char_poly_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
     _square_of_size(n),
     st.builds(_zero_row, _square_of_size(n), st.integers(0, n - 1)),
     _square_of_size(n).map(_strictly_upper),
+    st.builds(_scaled, _square_of_size(n), st.integers(-(1 << 200), 1 << 200)),
 ))
 
 
@@ -502,24 +508,32 @@ def _prime_calls():
     return mock.patch.object(intlinalg, "_char_poly_mod_p", wraps=intlinalg._char_poly_mod_p)
 
 
-def test_char_poly_joins_many_primes():
+def _bound(M):
+    """Hadamard's bound on the coefficients of the characteristic polynomial."""
+    S = max((sum(x * x for x in row) for row in M), default=0)
+    return max(comb(len(M), j) * (isqrt(S**j) + 1) for j in range(len(M) + 1))
+
+
+def test_char_poly_takes_the_smallest_mersenne_prime_above_twice_the_bound():
     rng = random.Random(5)
-    for _ in range(3):
-        M = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(8)] for _ in range(8)]
+    primes = [(1 << e) - 1 for e in intlinalg._MERSENNE_EXPONENTS]
+    for top in (1, 1 << 40, 1 << 150):
+        M = [[rng.randint(-top, top) for _ in range(8)] for _ in range(8)]
         with _prime_calls() as calls:
             coeffs = char_poly(M)
         assert coeffs == faddeev_leverrier(M)
-        assert max(abs(c).bit_length() for c in coeffs) > 300
-        assert calls.call_count > 4
+        assert calls.call_count == 1
+        p = calls.call_args.args[1]
+        assert p == min(q for q in primes if q > 2 * _bound(M))
 
 
 def test_char_poly_of_a_matrix_zero_mod_the_first_prime():
-    p = intlinalg._prime(0)
+    p = intlinalg._CERT_PRIME
     M = [[p * x for x in row] for row in ([1, -2, 0], [3, 1, 1], [0, 5, -1])]
     assert [[x % p for x in row] for row in M] == [[0] * 3] * 3
     with _prime_calls() as calls:
         assert char_poly(M) == faddeev_leverrier(M)
-    assert calls.call_count > 1
+    assert calls.call_args.args[1] > p
 
 
 def test_char_poly_of_a_large_diagonal():
@@ -533,19 +547,28 @@ def test_char_poly_of_a_large_diagonal():
 
 def test_char_poly_raises_when_the_prime_list_runs_out():
     M = [[1 << 80, 1], [1, 1 << 80]]
-    with mock.patch.object(intlinalg, "_PRIME_COUNT", 2):
-        with pytest.raises(ArithmeticError, match="more than 2 primes"):
+    with mock.patch.object(intlinalg, "_MERSENNE_EXPONENTS", (61, 89)):
+        with pytest.raises(ArithmeticError, match=r"prime above 2\*\*89 - 1"):
             char_poly(M)
     assert char_poly(M) == faddeev_leverrier(M)
 
 
+def lucas_lehmer(e):
+    """Whether 2**e - 1 is prime, for an odd prime e (Lucas-Lehmer test)."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
 def test_prime_list():
-    assert intlinalg._prime(0) == intlinalg._CERT_PRIME == (1 << 61) - 1
-    primes = [intlinalg._prime(i) for i in range(6)]
-    assert primes == sorted(primes, reverse=True)
-    assert all(q < 1 << 61 for q in primes)
-    sympy = pytest.importorskip("sympy")
-    assert primes == [sympy.prevprime(q) for q in [1 << 61] + primes[:-1]]
+    exponents = intlinalg._MERSENNE_EXPONENTS
+    assert list(exponents) == sorted(exponents)
+    assert (1 << exponents[0]) - 1 == intlinalg._CERT_PRIME == (1 << 61) - 1
+    assert all(lucas_lehmer(e) for e in exponents)
+    # prime exponents whose Mersenne numbers are composite
+    assert not any(lucas_lehmer(e) for e in (11, 23, 29, 67, 257))
 
 
 def test_hnf_det_rank_and_char_poly_match_sympy():
@@ -571,17 +594,6 @@ def test_hnf_det_rank_and_char_poly_match_sympy():
         Q = matrix(n, n)
         assert bareiss_det(Q) == sympy.Matrix(Q).det(method="berkowitz"), Q
         assert char_poly(Q) == sympy.Matrix(Q).charpoly().all_coeffs(), Q
-
-
-def test_miller_rabin():
-    is_prime = intlinalg._is_prime
-    small = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
-    assert [n for n in range(200) if is_prime(n)] == small
-    # a strong pseudoprime to every prime base up to 31, and a Carmichael number
-    assert not is_prime(3825123056546413051)
-    assert not is_prime(561)
-    assert is_prime((1 << 61) - 1) and is_prime((1 << 89) - 1)
-    assert not is_prime((1 << 61) + 1)
 
 
 def assert_lll_output(B, b, d, lam):
@@ -737,10 +749,20 @@ if __name__ == "__main__":
     # coordinates that sym_square_rank runs, and for comparison the Sym2
     # pass on the ambient coordinates.  The work is counted here, around
     # the eliminator: the rows it read, the rows it reduced to zero, and
-    # its entry updates, one per pivot-row entry that _subtract applies
+    # its entry updates, one per pivot-row entry that _subtract applies.
+    # It then runs every graph argv of the CLI corpus and prints, for each
+    # characteristic polynomial taken, the order n, the bit length of the
+    # coefficient bound, the bit lengths of the moduli that _char_poly_mod_p
+    # was called with, and the CPU seconds of char_poly
+    import contextlib
+    import io
     import json
     import sys
     import time
+
+    from test_cli_corpus import corpus_argvs
+
+    from latlab import cli
 
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_intlinalg.py --work")
@@ -787,3 +809,30 @@ if __name__ == "__main__":
             "dense": {"rank": dense_result[0], "rows_consumed": dense_result[1],
                       "cpu_s": round(end - mid, 3)},
         }), flush=True)
+
+    def char_poly_work(M, char_poly=intlinalg.char_poly):
+        with _prime_calls() as calls:
+            start = time.process_time()
+            coeffs = char_poly(M)
+            cpu = time.process_time() - start
+        polys.append({
+            "argv": " ".join(argv), "n": len(M), "bound_bits": _bound(M).bit_length(),
+            "moduli_bits": [c.args[1].bit_length() for c in calls.call_args_list],
+            "cpu_s": round(cpu, 4),
+        })
+        return coeffs
+
+    seen = set()
+    for argv in corpus_argvs():
+        if argv[0] == "--format":
+            argv = argv[4:]  # the README entries repeat per format and --jobs
+        if argv[0] != "graph" or tuple(argv) in seen:
+            continue
+        seen.add(tuple(argv))
+        polys = []
+        with mock.patch.object(intlinalg, "char_poly", char_poly_work), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        for record in polys:
+            print(json.dumps(record), flush=True)

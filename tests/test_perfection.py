@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, compress
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import neighbor_counts_reference
+from references import neighbor_counts_reference, srg_by_matrix_identity
 
 from latlab import families, intlinalg, lattice, perfection, tables
 from latlab.errors import SpecError
@@ -302,6 +303,32 @@ def test_srg_parameters_refuse_regular_graphs_that_are_not_strongly_regular():
     # K4 has no non-adjacent pair, so mu is undefined
     k4 = _graph([(i, j) for i in range(4) for j in range(i + 1, 4)], 4)
     assert k4.srg_parameters() is None
+
+
+def _circulant(n, jumps):
+    return _graph({(i, (i + d) % n) for i in range(n) for d in jumps if d % n}, n)
+
+
+def _edge_subset(n, bits):
+    return _graph(compress(combinations(range(n), 2), bits), n)
+
+
+# circulant graphs, regular by construction, and random edge sets
+srg_graphs = st.integers(0, 14).flatmap(lambda n: st.one_of(
+    st.builds(_circulant, st.just(n), st.sets(st.integers(1, max(1, n // 2)))),
+    st.builds(_edge_subset, st.just(n),
+              st.lists(st.booleans(), min_size=comb(n, 2), max_size=comb(n, 2))),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(srg_graphs)
+@example(_circulant(13, (1, 3, 4)))  # Paley(13) = SRG(13, 6, 2, 3)
+@example(_circulant(5, (1,)))  # the 5-cycle = SRG(5, 2, 0, 1)
+@example(_graph([(0, 1), (2, 3), (4, 5)], 6))  # 3 K2, mu = 0
+@example(_graph([], 4))  # no adjacent pair, so lambda is undefined
+def test_srg_parameters_match_the_matrix_identity(graph):
+    assert graph.srg_parameters() == srg_by_matrix_identity(graph.adjacency)
 
 
 def test_schlafli_graph():
