@@ -6,13 +6,15 @@ The families need GF(q) only up to isomorphism, so the package names a field
 by its order alone (field_for_order, which takes the modulus from
 DEFAULT_MODULI); a FiniteField built directly may carry any other modulus.
 Only desk-scale prime powers are needed, so irreducibility is verified by
-brute-force trial division at construction time.
+brute-force trial division at construction time.  FiniteField is the one
+home of the arithmetic: distinct_root_histogram tabulates it once on the
+element numbers and walks the subsets of the field through those tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .errors import SpecError
@@ -160,22 +162,45 @@ def distinct_root_histogram(field: FiniteField, k: int) -> dict[tuple[Element, .
 
     For every (a_1,...,a_k) in F_q^k the value is the number of constants a_0
     such that x^(k+1) + a_k x^k + ... + a_1 x + a_0 has k+1 distinct roots.
-    Each (k+1)-subset of F_q lands in exactly one bucket, so the counts are
-    gathered by a single sweep over all subsets.
+    Each (k+1)-subset S of F_q lands in exactly one bucket, that of the
+    product of (x - s) over S.  Elements are numbered by their position in
+    elements(), and the field's -(x c) and a + b are tabulated once on those
+    numbers.  The subsets are walked depth-first in increasing order, so each
+    node extends the product of its parent by one factor, and a leaf adds one
+    to a flat count indexed by the mixed-radix code of (a_1, ..., a_k), a_1
+    the most significant digit: the order of product(elements(), repeat=k).
     """
     if k >= field.p:
         raise ValueError("power sums degenerate")
     elems = field.elements()
-    hist: dict[tuple[Element, ...], int] = {key: 0 for key in product(elems, repeat=k)}
-    for subset in combinations(elems, k + 1):
-        poly = [field.one]
-        for x in subset:
-            nxt = [field.neg(field.mul(x, poly[0]))]
-            for i in range(1, len(poly)):
-                nxt.append(field.add(poly[i - 1], field.neg(field.mul(x, poly[i]))))
-            nxt.append(poly[-1])
-            poly = nxt
-        hist[tuple(poly[1:k + 1])] += 1
-    if sum(hist.values()) != comb(field.order, k + 1):
+    q = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    neg_mul = [[index[field.neg(field.mul(x, c))] for c in elems] for x in elems]
+    plus = [[index[field.add(a, b)] for b in elems] for a in elems]
+    one = index[field.one]
+    counts = [0] * q**k
+
+    def walk(poly: list[int], start: int, left: int) -> None:
+        # poly: coefficients of the product so far, constant term first;
+        # left: factors still to choose after the one chosen here.  The last
+        # factor builds no list: only its a_1..a_k are needed, for the code.
+        if not left:
+            pairs = list(zip(poly, poly[1:]))
+            for x in range(start, q):
+                nm = neg_mul[x]
+                code = 0
+                for lo, hi in pairs:
+                    code = code * q + plus[lo][nm[hi]]
+                counts[code] += 1
+            return
+        for x in range(start, q - left):
+            nm = neg_mul[x]
+            child = [nm[poly[0]]]
+            child += [plus[lo][nm[hi]] for lo, hi in zip(poly, poly[1:])]
+            child.append(one)
+            walk(child, x + 1, left - 1)
+
+    walk([one], 0, k)
+    if sum(counts) != comb(q, k + 1):
         raise RuntimeError("histogram lost subsets")
-    return hist
+    return dict(zip(product(elems, repeat=k), counts))

@@ -43,8 +43,18 @@ def mat_mul(A, B) -> Matrix:
 
 
 def gram_matrix(B) -> Matrix:
-    """Matrix of pairwise scalar products of the rows of B."""
-    return [[sum(a * b for a, b in zip(u, v)) for v in B] for u in B]
+    """Matrix of pairwise scalar products of the rows of B.
+
+    The rows are taken as {column: value} dicts of their nonzero entries, as
+    HNF kernel bases are mostly zeros, and only the upper triangle is summed.
+    """
+    rows = [{j: a for j, a in enumerate(u) if a} for u in B]
+    G = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            v = rows[j]
+            G[i][j] = G[j][i] = sum(a * v[c] for c, a in u.items() if c in v)
+    return G
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -4,8 +4,43 @@ They are the plain loops that the package's faster code replaced, kept as
 they were; the package itself does not need them.
 """
 
+from itertools import combinations, product
+from math import comb
+
 from latlab import intlinalg
 from latlab.lattice import MinimalVectorSet, square_patterns
+
+
+def split_coefficients(field, subset):
+    """Coefficients of the product of (x - s) over the subset, constant term
+    first, by one field multiplication per factor and coefficient."""
+    poly = [field.one]
+    for x in subset:
+        nxt = [field.neg(field.mul(x, poly[0]))]
+        for i in range(1, len(poly)):
+            nxt.append(field.add(poly[i - 1], field.neg(field.mul(x, poly[i]))))
+        nxt.append(poly[-1])
+        poly = nxt
+    return poly
+
+
+def histogram_by_subsets(field, k):
+    """Bucket counts N(a_1..a_k) of split polynomials by mid coefficients.
+
+    For every (a_1,...,a_k) in F_q^k the value is the number of constants a_0
+    such that x^(k+1) + a_k x^k + ... + a_1 x + a_0 has k+1 distinct roots.
+    Each (k+1)-subset of F_q lands in exactly one bucket, so the counts are
+    gathered by a single sweep over all subsets.
+    """
+    if k >= field.p:
+        raise ValueError("power sums degenerate")
+    elems = field.elements()
+    hist = {key: 0 for key in product(elems, repeat=k)}
+    for subset in combinations(elems, k + 1):
+        hist[tuple(split_coefficients(field, subset)[1:k + 1])] += 1
+    if sum(hist.values()) != comb(field.order, k + 1):
+        raise RuntimeError("histogram lost subsets")
+    return hist
 
 
 def support_sign_reference(lat, m):

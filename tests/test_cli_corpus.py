@@ -7,6 +7,8 @@ covers the README CLI examples in json and csv at ``--jobs 1`` and
 ``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
 methods, one build/analyze/minvec/verify per family tag, and the graph and
 scan-D outputs whose spectrum, srg or D is null or unresolved, the
+``craig --method histogram`` pair counts over GF(25), GF(27) and GF(49)
+(k = 3, 2 and 2), the only histograms over fields with e > 1, the
 graphs whose characteristic polynomial has large or irrational-root
 coefficients, two analyses with large symmetric-square ranks, shortest
 vectors at the enumerator's edges (support 1, entries of 3), and builds
@@ -57,6 +59,13 @@ _FAMILIES = (
     ("Craig:q=7,k=2", 6),
     ("Sidon:Z/7:set=0,1,3", 4),
     ("SidonInv:q=11", 4),
+)
+
+# histogram counts over fields with e > 1
+_PRIME_POWER_HISTOGRAMS = (
+    ("craig", "--q", "25", "--k", "3", "--method", "histogram"),
+    ("craig", "--q", "27", "--k", "2", "--method", "histogram"),
+    ("craig", "--q", "49", "--k", "2", "--method", "histogram"),
 )
 
 # no spectrum and no srg; a spectrum but no srg; D unresolved, no perfect d
@@ -127,6 +136,7 @@ def corpus_argvs() -> list[list[str]]:
                 if fmt == "json" or t != "D-scan-k1"]
     out += [["craig", "--q", "7", "--k", k, "--method", m]
             for k, m in (("1", "histogram"), ("2", "formula"), ("2", "enumerate"))]
+    out += [list(cmd) for cmd in _PRIME_POWER_HISTOGRAMS]
     for spec, norm in _FAMILIES:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]

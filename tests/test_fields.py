@@ -2,6 +2,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from references import histogram_by_subsets, split_coefficients
 
 from latlab.errors import SpecError
 from latlab.fields import (
@@ -10,6 +11,17 @@ from latlab.fields import (
     distinct_root_histogram,
     field_for_order,
 )
+
+# every field the package builds: the primes up to 31 and the orders with a
+# built-in modulus, each with every k below its characteristic (k = 0
+# included) whose histogram the subset sweep takes in a second or less: at
+# most 20,000 subsets and at most 200,000 buckets
+_HISTOGRAM_CASES = [
+    (q, k)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, *sorted(DEFAULT_MODULI))
+    for k in range(field_for_order(q).p)
+    if comb(q, k + 1) <= 20_000 and q**k <= 200_000
+]
 
 
 def test_field_for_order():
@@ -105,6 +117,13 @@ def test_histogram_buckets_match_direct_root_count():
     assert hist[(a1, a2)] == direct
 
 
+@pytest.mark.parametrize("q, k", _HISTOGRAM_CASES)
+def test_histogram_matches_the_subset_sweep(q, k):
+    # same buckets, same counts, same key order
+    f = field_for_order(q)
+    assert list(distinct_root_histogram(f, k).items()) == list(histogram_by_subsets(f, k).items())
+
+
 def test_histogram_independent_of_partitioning():
     # bucketing subsets in chunks and merging must equal the single sweep
     from itertools import combinations
@@ -117,14 +136,7 @@ def test_histogram_independent_of_partitioning():
     subsets = list(combinations(elems, k + 1))
     for chunk_start in range(0, len(subsets), 9):
         for subset in subsets[chunk_start:chunk_start + 9]:
-            poly = [f.one]
-            for x in subset:
-                nxt = [f.neg(f.mul(x, poly[0]))]
-                for i in range(1, len(poly)):
-                    nxt.append(f.add(poly[i - 1], f.neg(f.mul(x, poly[i]))))
-                nxt.append(poly[-1])
-                poly = nxt
-            merged[tuple(poly[1:k + 1])] += 1
+            merged[tuple(split_coefficients(f, subset)[1:k + 1])] += 1
     assert merged == whole
 
 
@@ -133,3 +145,33 @@ def test_modulus_validation():
         FiniteField(4, 1, (0, 1))  # 4 not prime
     with pytest.raises(SpecError):
         FiniteField(2, 2, (0, 0, 1))  # x^2 reducible
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python3 tests/test_fields.py --work prints, for each
+    # (q, k) of the tables craig-k2 and craig-k3 (craig-k3's q = 23 is also
+    # the craig --q 23 --k 3 --method histogram item of the cli-batch
+    # benchmark), the bucket count q^k, the number of subsets bucketed (the
+    # sum of the histogram, which must be C(q, k + 1)) and the best CPU
+    # seconds of distinct_root_histogram over three calls
+    import json
+    import sys
+    import time
+
+    from latlab import tables
+
+    if sys.argv[1:] != ["--work"]:
+        sys.exit("usage: test_fields.py --work")
+    for table_id in ("craig-k2", "craig-k3"):
+        k, golden = tables._CRAIG_TABLES[table_id]
+        for q, _ in golden:
+            field = field_for_order(q)
+            cpu = []
+            for _ in range(3):
+                start = time.process_time()
+                hist = distinct_root_histogram(field, k)
+                cpu.append(time.process_time() - start)
+            subsets = sum(hist.values())
+            assert subsets == comb(q, k + 1)
+            print(json.dumps({"table": table_id, "q": q, "k": k, "buckets": q**k,
+                              "subsets": subsets, "cpu_s": round(min(cpu), 4)}))

@@ -734,6 +734,23 @@ def test_kernel_basis_matches_the_saturated_sympy_nullspace():
 def test_gram_matrix_values():
     B = [[1, -1, 0], [0, 1, -1]]
     assert gram_matrix(B) == [[2, -1], [-1, 2]]
+    assert gram_matrix([]) == []
+
+
+# sparse rows with zero rows and negative and large entries mixed in
+gram_rows = st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70)),
+             min_size=n, max_size=n)
+    | st.just([0] * n),
+    max_size=8,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_rows)
+@example([[0, 0, 0], [1, -2, 0], [0, 0, 0], [0, 5, -1]])
+def test_gram_matrix_matches_the_dense_definition(B):
+    assert gram_matrix(B) == [[sum(a * b for a, b in zip(u, v)) for v in B] for u in B]
 
 
 def test_matrix_text_roundtrip():
