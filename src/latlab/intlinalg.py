@@ -2,12 +2,17 @@
 
 Matrices are plain lists of rows of Python ints, so every entry is an
 arbitrary-precision integer and nothing here ever touches floating point.
-The rows of a rank certificate are sparse, {column: value} dicts.  The
-module provides the primitives the rest of the package is built on:
+The rows of a Hermite normal form or of a rank certificate are sparse,
+{column: value} dicts.  The module provides the primitives the rest of the
+package is built on:
 
-* ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests),
+* ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests)
+  over sparse rows, with an index from each column to the rows holding it,
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
-* ``rank`` / ``bareiss_det`` / ``gram_det`` - fraction-free Bareiss elimination,
+* ``rank`` / ``bareiss_det`` - fraction-free Bareiss elimination,
+* ``echelon_gram_det`` / ``gram_det`` - Gram determinants det(B B^t) from
+  the pivot block of an echelon basis by sparse back-substitution, which
+  leaves one k x k Bareiss determinant for its k non-pivot columns,
 * ``certified_rank`` - exact ranks of sparse rows under a known cap,
   certified by one sparse elimination modulo a prime that keeps its pivot
   rows in reduced row-echelon form (each pivot row is 1 in its own column
@@ -27,14 +32,10 @@ module provides the primitives the rest of the package is built on:
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, compress
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from operator import mul
 
 Matrix = list[list[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B) -> Matrix:
@@ -45,15 +46,20 @@ def mat_mul(A, B) -> Matrix:
 def gram_matrix(B) -> Matrix:
     """Matrix of pairwise scalar products of the rows of B.
 
-    The rows are taken as {column: value} dicts of their nonzero entries, as
-    HNF kernel bases are mostly zeros, and only the upper triangle is summed.
+    HNF kernel bases are mostly zeros, so the products are summed column by
+    column, over the pairs of rows with an entry in that column.
     """
-    rows = [{j: a for j, a in enumerate(u) if a} for u in B]
-    G = [[0] * len(rows) for _ in rows]
-    for i, u in enumerate(rows):
-        for j in range(i, len(rows)):
-            v = rows[j]
-            G[i][j] = G[j][i] = sum(a * v[c] for c, a in u.items() if c in v)
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for i, u in enumerate(B):
+        for c, a in enumerate(u):
+            if a:
+                holders.setdefault(c, []).append((i, a))
+    G = [[0] * len(B) for _ in B]
+    for column in holders.values():
+        for i, a in column:
+            Gi = G[i]
+            for j, b in column:
+                Gi[j] += a * b
     return G
 
 
@@ -70,6 +76,87 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _combine(x: int, p: dict[int, int], y: int, q: dict[int, int]) -> dict[int, int]:
+    """x * p + y * q for sparse {column: value} rows, without its zeros."""
+    out = {}
+    for j in p.keys() | q.keys():
+        if s := x * p.get(j, 0) + y * q.get(j, 0):
+            out[j] = s
+    return out
+
+
+def _hnf_rows(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Nonzero rows, in order, of the row-style Hermite normal form of the
+    sparse {column: value} rows, which it consumes.
+
+    Column by column, the first row at or below the pivot position with an
+    entry there becomes the pivot row; each later row with an entry there is
+    combined with it by xgcd, in row order, which clears that entry; the
+    pivot is made positive and the entries above it are reduced into
+    [0, pivot).  An index from each column to the positions of the rows
+    holding it finds those rows without scanning the others.
+    """
+    A = rows
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(A):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+
+    def store(i: int, row: dict[int, int]) -> None:
+        old = A[i]
+        for c in old.keys() - row.keys():
+            holders[c].discard(i)
+        for c in row.keys() - old.keys():
+            holders.setdefault(c, set()).add(i)
+        A[i] = row
+
+    def add(i: int, f: int, src: dict[int, int]) -> None:
+        """A[i] += f * src in place, for f != 0."""
+        row = A[i]
+        for j, x in src.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = f * x
+                holders.setdefault(j, set()).add(i)
+            elif y := y + f * x:
+                row[j] = y
+            else:
+                del row[j]
+                holders[j].discard(i)
+
+    r = 0
+    for c in range(ncols):
+        if r == len(A):
+            break
+        below = sorted(i for i in holders.get(c, ()) if i >= r)
+        if not below:
+            continue
+        if (piv := below[0]) != r:
+            Ar, Ap = A[r], A[piv]
+            store(r, Ap)
+            store(piv, Ar)
+        for i in below[1:]:
+            Ar, Ai = A[r], A[i]
+            g, x, y = xgcd(Ar[c], Ai[c])
+            u, v = Ar[c] // g, Ai[c] // g
+            # row r becomes x * Ar + y * Ai, row i becomes u * Ai - v * Ar
+            if y or x != 1:
+                store(r, _combine(x, Ar, y, Ai))
+            if u != 1:
+                for j in Ai:
+                    Ai[j] *= u
+            add(i, -v, Ar)
+        Ar = A[r]
+        if Ar[c] < 0:
+            Ar = A[r] = {j: -x for j, x in Ar.items()}
+        p = Ar[c]
+        for i in sorted(holders[c] - {r}):
+            if q := A[i][c] // p:
+                add(i, -q, Ar)
+        r += 1
+    return A[:r]
+
+
 def hnf(M) -> Matrix:
     """Row-style Hermite normal form of M.
 
@@ -78,35 +165,10 @@ def hnf(M) -> Matrix:
     reduced into [0, pivot), and zero rows at the bottom.  The integer row
     span is preserved.
     """
-    A = [list(row) for row in M]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if A[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, nrows):
-            if not A[i][c]:
-                continue
-            a, b = A[r][c], A[i][c]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            Ar, Ai = A[r], A[i]
-            A[r] = [x * p + y * q for p, q in zip(Ar, Ai)]
-            A[i] = [u * q - v * p for p, q in zip(Ar, Ai)]
-        if A[r][c] < 0:
-            A[r] = [-x for x in A[r]]
-        for i in range(r):
-            q = A[i][c] // A[r][c]
-            if q:
-                A[i] = [p - q * s for p, s in zip(A[i], A[r])]
-        r += 1
-    return A
+    ncols = len(M[0]) if M else 0
+    H = _hnf_rows([{j: x for j, x in enumerate(row) if x} for row in M], ncols)
+    H += [{}] * (len(M) - len(H))
+    return [[row.get(j, 0) for j in range(ncols)] for row in H]
 
 
 def kernel_basis(n: int, rows) -> Matrix:
@@ -120,17 +182,28 @@ def kernel_basis(n: int, rows) -> Matrix:
     of the rows whose left block vanishes.  Each t_i = <w_i, v> / m_i is
     fixed by v, so no nonzero kernel vector has v = 0: every kernel row
     pivots in a v column, and cut to those columns the rows are the HNF
-    basis of the lattice.
+    basis of the lattice.  The rows of [A^t | I] are sparse {column: value}
+    rows (_hnf_rows), as the weight rows of the families are mostly zeros.
     """
     r = len(rows)
     mods = [(i, m) for i, (_, m) in enumerate(rows) if m > 0]
-    # row j of A^t is column j of A: the weights of v_j, then one -m_i per t_i
-    at = [[w[j] for w, _ in rows] for j in range(n)]
-    at += [[-m if s == i else 0 for s in range(r)] for i, m in mods]
-    aug = [row + unit for row, unit in zip(at, identity(len(at)))]
-    basis = [row[r:r + n] for row in hnf(aug) if not any(row[:r])]
-    if not all(any(row) for row in basis):
-        raise RuntimeError("kernel row vanishes on the lattice coordinates")
+    # row j of A^t is column j of A: the weights of v_j, then one -m_i per t_i,
+    # followed by the unit entry of the identity block
+    aug = [{i: x for i, (w, _) in enumerate(rows) if (x := w[j])} for j in range(n)]
+    aug += [{i: -m} for i, m in mods]
+    for j, row in enumerate(aug):
+        row[r + j] = 1
+    basis = []
+    for row in _hnf_rows(aug, r + len(aug)):
+        if min(row) < r:
+            continue
+        v = [0] * n
+        for j, x in row.items():
+            if j < r + n:
+                v[j - r] = x
+        if not any(v):
+            raise RuntimeError("kernel row vanishes on the lattice coordinates")
+        basis.append(v)
     return basis
 
 
@@ -392,12 +465,58 @@ def lll(B) -> tuple[Matrix, list[int], Matrix]:
     return b, d, lam
 
 
+def echelon_gram_det(B) -> int:
+    """det(B B^t) for nonzero rows B in echelon form (strictly increasing
+    leading columns), such as an HNF basis.
+
+    The d leading columns of B form an upper triangular T with D = det T,
+    the product of its diagonal, and the k other columns form R.  Then
+    B B^t = T T^t + R R^t = T (I_d + X X^t) T^t with X = T^-1 R, and
+    det(I_d + X X^t) = det(I_k + X^t X) (Sylvester), so with the integral
+    Z = D X = adj(T) R,
+        det(B B^t) = D^(2 - 2k) det(D^2 I_k + Z^t Z).
+    Each column z of Z solves T z = D r by sparse back-substitution, whose
+    divisions by the pivots are exact as adj(T) is integral; so is the last
+    division, by D^(2k - 2).  All of them are checked.  The k x k
+    determinant is bareiss_det's.
+    """
+    rows = [{j: x for j, x in enumerate(u) if x} for u in B]
+    if not all(rows):
+        raise ValueError("echelon rows must be nonzero")
+    leads = [min(row) for row in rows]
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        raise ValueError("rows are not in echelon form")
+    D = prod(row[c] for row, c in zip(rows, leads))
+    index = {c: i for i, c in enumerate(leads)}
+    # per row: its pivot, and its entries right of the pivot in pivot columns
+    upper = [(row[c], [(index[j], x) for j, x in row.items() if j in index and j != c])
+             for row, c in zip(rows, leads)]
+    Z = []
+    for c in range(len(B[0]) if B else 0):
+        if c in index:
+            continue
+        z = [0] * len(rows)
+        for i in range(len(rows) - 1, -1, -1):
+            pivot, rest = upper[i]
+            z[i] = _exact_div(D * rows[i].get(c, 0) - sum(x * z[t] for t, x in rest), pivot)
+        Z.append(z)
+    k = len(Z)
+    M = [[sum(map(mul, y, z)) + (D * D if i == j else 0) for j, z in enumerate(Z)]
+         for i, y in enumerate(Z)]
+    return _exact_div(bareiss_det(M) * D * D, D ** (2 * k))
+
+
 def gram_det(B) -> int:
-    """det(B B^t) for a matrix with linearly independent rows."""
-    d = bareiss_det(gram_matrix(B))
-    if d <= 0:
+    """det(B B^t) for a matrix with linearly independent rows.
+
+    Its nonzero HNF rows H span the same lattice, so B = U H for a
+    unimodular U and det(B B^t) = det(H H^t) (echelon_gram_det); fewer
+    nonzero rows than B has means the rows are dependent.
+    """
+    H = [row for row in hnf(B) if any(row)]
+    if len(H) < len(B):
         raise ValueError("singular Gram")
-    return d
+    return echelon_gram_det(H)
 
 
 # exponents e of Mersenne primes 2**e - 1, each proved prime by the

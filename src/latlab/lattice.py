@@ -79,12 +79,18 @@ class Lattice:
 
 
 def build(cs: ConstraintSystem) -> Lattice:
-    """Construct the lattice of all integer vectors satisfying cs."""
+    """Construct the lattice of all integer vectors satisfying cs.
+
+    The basis is the HNF kernel basis (intlinalg.kernel_basis).  The Gram
+    matrix is kept for printing; the determinant comes from the basis's
+    pivot block (intlinalg.echelon_gram_det), a k x k determinant for the
+    k = n - d columns of Z^n that hold no pivot of the rank-d basis.
+    """
     basis = intlinalg.kernel_basis(cs.ambient_dim, cs.rows)
     if not basis:
         raise ConstructionError("trivial lattice")
     gram = intlinalg.gram_matrix(basis)
-    det = intlinalg.bareiss_det(gram)
+    det = intlinalg.echelon_gram_det(basis)
     if det <= 0:
         raise ArithmeticError("Gram determinant of a basis must be positive")
     return Lattice(

@@ -11,6 +11,63 @@ from latlab import intlinalg
 from latlab.lattice import MinimalVectorSet, square_patterns
 
 
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense_hnf(M):
+    """Row-style Hermite normal form of M by the dense loop over full rows:
+    per column, the first row with an entry at or below the pivot position
+    is swapped up and combined by xgcd with every later row holding the
+    column, the pivot is made positive, and the rows above are reduced."""
+    A = [list(row) for row in M]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if A[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, nrows):
+            if not A[i][c]:
+                continue
+            a, b = A[r][c], A[i][c]
+            g, x, y = intlinalg.xgcd(a, b)
+            u, v = a // g, b // g
+            Ar, Ai = A[r], A[i]
+            A[r] = [x * p + y * q for p, q in zip(Ar, Ai)]
+            A[i] = [u * q - v * p for p, q in zip(Ar, Ai)]
+        if A[r][c] < 0:
+            A[r] = [-x for x in A[r]]
+        for i in range(r):
+            q = A[i][c] // A[r][c]
+            if q:
+                A[i] = [p - q * s for p, s in zip(A[i], A[r])]
+        r += 1
+    return A
+
+
+def dense_kernel_basis(n, rows):
+    """HNF basis of the integer kernel of (weights, modulus) rows: the
+    dense HNF of [A^t | I] for A = [W | -diag(m)], cut to the v block of
+    the rows whose A^t block vanishes."""
+    r = len(rows)
+    mods = [(i, m) for i, (_, m) in enumerate(rows) if m > 0]
+    at = [[w[j] for w, _ in rows] for j in range(n)]
+    at += [[-m if s == i else 0 for s in range(r)] for i, m in mods]
+    aug = [row + unit for row, unit in zip(at, identity(len(at)))]
+    return [row[r:r + n] for row in dense_hnf(aug) if not any(row[:r])]
+
+
+def gram_det_by_bareiss(B):
+    """det(B B^t) by Bareiss elimination of the dense Gram matrix."""
+    return intlinalg.bareiss_det(intlinalg.gram_matrix(B))
+
+
 def split_coefficients(field, subset):
     """Coefficients of the product of (x - s) over the subset, constant term
     first, by one field multiplication per factor and coefficient."""

@@ -13,7 +13,9 @@ graphs whose characteristic polynomial has large or irrational-root
 coefficients, two analyses with large symmetric-square ranks, shortest
 vectors at the enumerator's edges (support 1, entries of 3), and builds
 over prime-power fields, multi-factor groups, the edges of the exclusion
-windows and construction failures.
+windows and construction failures, and the kernel lattices of ranks 31-63
+whose HNF bases have k = 0, 1 and 2 non-pivot columns (``build T:5``,
+``build LA:Z/64`` and ``build Ld:40``).
 
 ``PYTHONPATH=src python3 tests/test_cli_corpus.py --record`` keeps every
 existing entry verbatim, records the argvs that have no entry yet and drops
@@ -115,6 +117,10 @@ _BUILDS = (
     "SidonInv:q=4", "Sidon:Z/8:set=0,1,2",
 )
 
+# HNF kernels of ranks 31-63 whose bases have 0, 1 and 2 non-pivot columns:
+# the sparse HNF and the Gram determinant from the basis's pivot block
+_KERNELS = ("T:5", "LA:Z/64", "Ld:40")
+
 # the one analyze whose params carry a set, and three exit-2 inputs that no
 # other entry reaches: a prime power with no built-in modulus, an unknown
 # spec field and a base vector of the wrong length
@@ -141,7 +147,7 @@ def corpus_argvs() -> list[list[str]]:
         out += [["build", spec], ["analyze", spec],
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
     out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK + _NORMS]
-    out += [["build", spec] for spec in _BUILDS]
+    out += [["build", spec] for spec in _BUILDS + _KERNELS]
     out += [list(cmd) for cmd in _BRANCHES]
     return out
 

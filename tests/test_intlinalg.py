@@ -7,17 +7,18 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import dense_hnf, dense_kernel_basis, gram_det_by_bareiss, identity
 
 from latlab import families, intlinalg, lattice, perfection
 from latlab.intlinalg import (
     bareiss_det,
     certified_rank,
     char_poly,
+    echelon_gram_det,
     format_matrix,
     gram_det,
     gram_matrix,
     hnf,
-    identity,
     kernel_basis,
     lll,
     mat_mul,
@@ -196,6 +197,13 @@ def test_hnf_idempotent_and_span_preserving(M):
     # appending span members must not change the canonical form
     H2 = hnf([list(r) for r in M] + [list(r) for r in H])
     assert nonzero_rows(H2) == nonzero_rows(H)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix)
+@example([[0, 2, 4], [0, 3, 1], [5, 0, 1]])  # pivot row swapped up, xgcd combinations
+def test_hnf_matches_the_dense_loop(M):
+    assert hnf(M) == dense_hnf(M)
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,6 +444,41 @@ def test_gram_det_examples_and_unimodular_invariance():
 def test_gram_det_singular():
     with pytest.raises(ValueError, match="singular Gram"):
         gram_det([[1, 2], [2, 4]])
+
+
+@st.composite
+def echelon_bases(draw):
+    """d <= 5 rows in echelon form over d + k columns, k = 0..4 of them
+    non-pivot columns, with pivots of either sign and often above 1, and
+    negative entries right of the pivots."""
+    d, k = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    n = d + k
+    leads = sorted(draw(st.permutations(range(n)))[:d])
+    entry = st.integers(-9, 9)
+    pivot = st.one_of(st.integers(2, 9), st.integers(-9, -1), st.just(1))
+    B = []
+    for c in leads:
+        B.append([0] * c + [draw(pivot)] + draw(st.lists(entry, min_size=n - c - 1,
+                                                         max_size=n - c - 1)))
+    return B
+
+
+@settings(max_examples=400, deadline=None)
+@given(echelon_bases())
+@example([[2, 1, 0, -3, 5, 1], [0, 3, 2, 0, -1, 4]])  # k = 4, D = 6
+@example([[3, 0, 1], [0, 5, -2]])  # k = 1, pivots above 1
+@example([[2, 7], [0, 3]])  # k = 0
+def test_echelon_gram_det_matches_bareiss_on_the_gram_matrix(B):
+    assert echelon_gram_det(B) == gram_det_by_bareiss(B)
+
+
+def test_echelon_gram_det_rejects_rows_out_of_echelon_form():
+    with pytest.raises(ValueError, match="echelon form"):
+        echelon_gram_det([[0, 1, 2], [1, 0, 0]])
+    with pytest.raises(ValueError, match="echelon form"):
+        echelon_gram_det([[1, 1, 2], [3, 0, 0]])
+    with pytest.raises(ValueError, match="nonzero"):
+        echelon_gram_det([[1, 1, 2], [0, 0, 0]])
 
 
 def test_char_poly_examples():
@@ -731,6 +774,40 @@ def test_kernel_basis_matches_the_saturated_sympy_nullspace():
         assert kernel_basis(n, rows) == expected, rows
 
 
+@st.composite
+def constraint_systems(draw):
+    """(n, rows): n <= 7 coordinates under up to four equality and
+    congruence rows with moduli up to 2^6; some weight columns are zero in
+    every row, and rows repeat or are zero."""
+    n = draw(st.integers(1, 7))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    weight = st.one_of(st.integers(-4, 4), st.integers(-70, 70))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        w = [0 if j in zero_cols else draw(weight) for j in range(n)]
+        rows.append((tuple(w), draw(st.one_of(st.just(0), st.integers(1, 64)))))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0])
+    return n, tuple(draw(st.permutations(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_systems())
+@example((3, (((0, 0, 0), 5), ((1, 2, 0), 0))))  # a zero row and a zero column
+@example((4, (((1, 3, 5, 7), 64), ((2, 6, 10, 14), 64))))
+def test_kernel_basis_matches_the_dense_reference(system):
+    n, rows = system
+    assert kernel_basis(n, rows) == dense_kernel_basis(n, rows)
+
+
+@pytest.mark.parametrize("spec", ["LA:Z/128", "T:7", "Ld:60"])
+def test_kernel_basis_of_the_largest_builds_matches_the_dense_reference(spec):
+    cs = families.make(families.parse_family(spec))
+    basis = kernel_basis(cs.ambient_dim, cs.rows)
+    assert basis == dense_kernel_basis(cs.ambient_dim, cs.rows)
+    assert echelon_gram_det(basis) == gram_det_by_bareiss(basis)
+
+
 def test_gram_matrix_values():
     B = [[1, -1, 0], [0, 1, -1]]
     assert gram_matrix(B) == [[2, -1], [-1, 2]]
@@ -770,7 +847,12 @@ if __name__ == "__main__":
     # It then runs every graph argv of the CLI corpus and prints, for each
     # characteristic polynomial taken, the order n, the bit length of the
     # coefficient bound, the bit lengths of the moduli that _char_poly_mod_p
-    # was called with, and the CPU seconds of char_poly
+    # was called with, and the CPU seconds of char_poly.  Last, for the
+    # three largest kernel lattices the benchmark builds, it prints n, the
+    # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
+    # nonzeros, the HNF row combinations (xgcd calls) of kernel_basis and of
+    # the dense reference loop, and the least CPU seconds of three runs of
+    # the kernel and of the Gram determinant, each next to its reference
     import contextlib
     import io
     import json
@@ -853,3 +935,40 @@ if __name__ == "__main__":
             cli.main(argv)
         for record in polys:
             print(json.dumps(record), flush=True)
+
+    def combinations(kernel, n, rows):
+        calls = 0
+
+        def counting_xgcd(a, b, xgcd=intlinalg.xgcd):
+            nonlocal calls
+            calls += 1
+            return xgcd(a, b)
+
+        with mock.patch.object(intlinalg, "xgcd", counting_xgcd):
+            kernel(n, rows)
+        return calls
+
+    def cpu(fn, *args):
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            fn(*args)
+            times.append(time.process_time() - start)
+        return round(min(times), 4)
+
+    for spec in ("Ld:60", "LA:Z/128", "T:7"):
+        cs = families.make(families.parse_family(spec))
+        n = cs.ambient_dim
+        basis = kernel_basis(n, cs.rows)
+        if basis != dense_kernel_basis(n, cs.rows):
+            sys.exit(f"{spec}: kernel_basis differs from the dense reference")
+        print(json.dumps({
+            "spec": spec, "n": n, "d": len(basis), "k": n - len(basis),
+            "basis_nonzeros": sum(map(bool, sum(basis, []))),
+            "hnf_combinations": combinations(kernel_basis, n, cs.rows),
+            "hnf_combinations_ref": combinations(dense_kernel_basis, n, cs.rows),
+            "kernel_cpu_s": cpu(kernel_basis, n, cs.rows),
+            "kernel_ref_cpu_s": cpu(dense_kernel_basis, n, cs.rows),
+            "det_cpu_s": cpu(echelon_gram_det, basis),
+            "det_ref_cpu_s": cpu(gram_det_by_bareiss, basis),
+        }), flush=True)

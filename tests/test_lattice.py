@@ -6,7 +6,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import support_sign_reference
+from references import identity, support_sign_reference
 from test_acceptance import ORACLE_SPECS
 
 from latlab import cli, families, intlinalg
@@ -95,7 +95,7 @@ def test_det_invariant_under_unimodular_change():
     rng = random.Random(3)
     B = [list(r) for r in lat.basis]
     for _ in range(4):
-        U = intlinalg.identity(len(B))
+        U = identity(len(B))
         for _ in range(20):
             i, j = rng.randrange(len(B)), rng.randrange(len(B))
             if i != j:
