@@ -145,6 +145,8 @@ def _cmd_graph(args, cfg: RunConfig):
         base = families.parse_ints(args.base_vector, "base vector")
         if len(base) != lat.ambient_dim:
             raise SpecError("base vector length does not match ambient dimension")
+        if not any(base):
+            raise SpecError("base vector must be nonzero")
     product = args.product if args.product is not None else (-1 if base else 0)
     graph = perfection.minvec_graph(mvs, product, base_vector=base)
     info = {"vertices": graph.order, "degrees": dict(sorted(Counter(graph.degrees()).items())),

@@ -9,7 +9,8 @@ package is built on:
 * ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests)
   over sparse rows, with an index from each column to the rows holding it,
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
-* ``rank`` / ``bareiss_det`` - fraction-free Bareiss elimination,
+* ``rank`` - exact ranks, the number of nonzero HNF rows, and
+  ``bareiss_det`` - determinants by fraction-free Bareiss elimination,
 * ``echelon_gram_det`` / ``gram_det`` - Gram determinants det(B B^t) from
   the pivot block of an echelon basis by sparse back-substitution, which
   leaves one k x k Bareiss determinant for its k non-pivot columns,
@@ -17,12 +18,13 @@ package is built on:
   certified by one sparse elimination modulo a prime that keeps its pivot
   rows in reduced row-echelon form (each pivot row is 1 in its own column
   and 0 in every other pivot column, so an incoming row is reduced only by
-  the pivots in its own support); a degree-k flattening of vectors
-  spanning s dimensions has the cap comb(s + k - 1, k),
-* ``span_coordinates`` - the certified dimension s of the span of vectors
-  and the vectors projected onto the s pivot columns of that elimination,
-  which is injective on the span, so their degree-k flattenings use at
-  most comb(s + k - 1, k) columns, the cap itself,
+  the pivots in its own support) when it finds cap pivots, else by the
+  HNF; a degree-k flattening of vectors spanning s dimensions has the cap
+  comb(s + k - 1, k),
+* ``span_coordinates`` - the dimension s of the span of vectors and the
+  vectors projected onto the s pivot columns of that elimination, which is
+  injective on the span, so their degree-k flattenings use at most
+  comb(s + k - 1, k) columns, the cap itself,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
@@ -31,6 +33,7 @@ package is built on:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement, compress
 from math import comb, isqrt, prod
 from operator import mul
@@ -63,52 +66,30 @@ def gram_matrix(B) -> Matrix:
     return G
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _combine(x: int, p: dict[int, int], y: int, q: dict[int, int]) -> dict[int, int]:
-    """x * p + y * q for sparse {column: value} rows, without its zeros."""
-    out = {}
-    for j in p.keys() | q.keys():
-        if s := x * p.get(j, 0) + y * q.get(j, 0):
-            out[j] = s
-    return out
-
-
-def _hnf_rows(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+def _hnf_rows(rows) -> list[dict[int, int]]:
     """Nonzero rows, in order, of the row-style Hermite normal form of the
-    sparse {column: value} rows, which it consumes.
+    sparse {column: value} rows, which it copies without their zeros.
 
-    Column by column, the first row at or below the pivot position with an
-    entry there becomes the pivot row; each later row with an entry there is
-    combined with it by xgcd, in row order, which clears that entry; the
-    pivot is made positive and the entries above it are reduced into
-    [0, pivot).  An index from each column to the positions of the rows
-    holding it finds those rows without scanning the others.
+    Column by column, over the columns the rows use (their combinations use
+    no others), the entries of the rows at or below the pivot position are
+    brought down to one by Euclid's algorithm (Cohen, A Course in
+    Computational Algebraic Number Theory, Section 2.4): each row is reduced,
+    by floor division, by the nearest earlier row whose entry is least in
+    absolute value (the first of those reduces the rows before it), until a
+    single row holds the column.  It becomes the pivot row, its pivot is
+    made positive and the entries above it are reduced into [0, pivot).
+    Rows are only ever reduced by rows with the least entry, never scaled by
+    a Bezout coefficient, which keeps them near the size of the result; and
+    equal entries, the common case in kernels, cancel along a chain of
+    neighbouring rows, so the rows stay sparse.  An index from each column
+    to the positions of the rows holding it finds those rows without
+    scanning the others.
     """
-    A = rows
+    A = [{c: x for c, x in row.items() if x} for row in rows]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(A):
         for c in row:
             holders.setdefault(c, set()).add(i)
-
-    def store(i: int, row: dict[int, int]) -> None:
-        old = A[i]
-        for c in old.keys() - row.keys():
-            holders[c].discard(i)
-        for c in row.keys() - old.keys():
-            holders.setdefault(c, set()).add(i)
-        A[i] = row
 
     def add(i: int, f: int, src: dict[int, int]) -> None:
         """A[i] += f * src in place, for f != 0."""
@@ -125,27 +106,25 @@ def _hnf_rows(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
                 holders[j].discard(i)
 
     r = 0
-    for c in range(ncols):
+    for c in sorted(holders):
         if r == len(A):
             break
-        below = sorted(i for i in holders.get(c, ()) if i >= r)
+        below = sorted(i for i in holders[c] if i >= r)
+        while len(below) > 1:
+            least = min(abs(A[i][c]) for i in below)
+            mins = [i for i in below if abs(A[i][c]) == least]
+            # last row first, so that every divisor is still unreduced
+            for i in reversed(below):
+                if (d := mins[max(bisect_left(mins, i) - 1, 0)]) != i:
+                    add(i, -(A[i][c] // A[d][c]), A[d])
+            below = [i for i in below if c in A[i]]
         if not below:
             continue
         if (piv := below[0]) != r:
-            Ar, Ap = A[r], A[piv]
-            store(r, Ap)
-            store(piv, Ar)
-        for i in below[1:]:
-            Ar, Ai = A[r], A[i]
-            g, x, y = xgcd(Ar[c], Ai[c])
-            u, v = Ar[c] // g, Ai[c] // g
-            # row r becomes x * Ar + y * Ai, row i becomes u * Ai - v * Ar
-            if y or x != 1:
-                store(r, _combine(x, Ar, y, Ai))
-            if u != 1:
-                for j in Ai:
-                    Ai[j] *= u
-            add(i, -v, Ar)
+            # a column held by both rows is toggled twice and keeps both
+            for j in [*A[r], *A[piv]]:
+                holders[j] ^= {r, piv}
+            A[r], A[piv] = A[piv], A[r]
         Ar = A[r]
         if Ar[c] < 0:
             Ar = A[r] = {j: -x for j, x in Ar.items()}
@@ -166,7 +145,7 @@ def hnf(M) -> Matrix:
     span is preserved.
     """
     ncols = len(M[0]) if M else 0
-    H = _hnf_rows([{j: x for j, x in enumerate(row) if x} for row in M], ncols)
+    H = _hnf_rows([dict(enumerate(row)) for row in M])
     H += [{}] * (len(M) - len(H))
     return [[row.get(j, 0) for j in range(ncols)] for row in H]
 
@@ -194,7 +173,7 @@ def kernel_basis(n: int, rows) -> Matrix:
     for j, row in enumerate(aug):
         row[r + j] = 1
     basis = []
-    for row in _hnf_rows(aug, r + len(aug)):
+    for row in _hnf_rows(aug):
         if min(row) < r:
             continue
         v = [0] * n
@@ -207,53 +186,34 @@ def kernel_basis(n: int, rows) -> Matrix:
     return basis
 
 
-def _bareiss(M) -> tuple[int, int, int]:
-    """Fraction-free Bareiss elimination (Bareiss 1968) on a copy of M.
-
-    Returns (rank, swap_sign, last_pivot): the rank over the rationals, the
-    sign of the row swaps made, and the last pivot.  Every division is exact
-    by Sylvester's identity.  For a nonsingular square matrix the last pivot
-    is swap_sign * det.
-    """
-    A = [list(row) for row in M]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    r = 0
-    sign = 1
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if A[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            sign = -sign
-        Ar = A[r]
-        p = Ar[c]
-        for i in range(r + 1, nrows):
-            Ai = A[i]
-            q = Ai[c]
-            A[i] = [(p * a - q * b) // prev for a, b in zip(Ai, Ar)]
-        prev = p
-        r += 1
-    return r, sign, prev
-
-
 def rank(M) -> int:
-    """Exact rank over the rationals by fraction-free Bareiss elimination."""
-    return _bareiss(M)[0]
+    """Exact rank over the rationals: the number of nonzero rows of its HNF."""
+    return len(_hnf_rows([dict(enumerate(row)) for row in M]))
 
 
 def bareiss_det(M) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Bareiss 1968), whose divisions are exact by Sylvester's
+    identity: the last pivot, times the sign of the row swaps."""
     n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-    r, sign, last = _bareiss(M)
-    return sign * last if r == n else 0
+    if any(len(row) != n for row in M):
+        raise ValueError("determinant needs a square matrix")
+    A = [list(row) for row in M]
+    sign = prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            sign = -sign
+        Ac = A[c]
+        p = Ac[c]
+        for i in range(c + 1, n):
+            q = A[i][c]
+            A[i] = [(p * a - q * b) // prev for a, b in zip(A[i], Ac)]
+        prev = p
+    return sign * prev
 
 
 _CERT_PRIME = (1 << 61) - 1
@@ -319,50 +279,46 @@ def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
     return list(pivots)
 
 
-def certified_rank(rows, cap: int) -> int:
-    """Exact rank over Q of sparse {column: value} rows known to have rank
-    at most cap.
+def _basis_columns(rows, cap: int) -> list[int]:
+    """Pivot columns of a basis of the row space over Q of sparse
+    {column: value} rows whose rank is at most cap; their number is the rank.
 
     The rank modulo a prime never exceeds the rank over Q, which never
     exceeds the cap, so one reduced row-echelon elimination modulo a fixed
     61-bit prime (_pivot_columns_mod_p) certifies the rank whenever it finds
-    cap pivots, whatever their order.  Otherwise fraction-free Bareiss
-    elimination of the rows, made dense over the columns they use, settles
-    the value.  The result is exact either way; the modular pass only
-    short-circuits the common full-rank case.
+    cap pivots, whatever their order, and its pivot columns are returned;
+    otherwise the leading columns of the nonzero HNF rows (_hnf_rows) are.
+    Either way a basis of the row space cut to those columns is invertible
+    over Q, so the cut is injective: the rows that made the modular pivots
+    (invertible modulo the prime), or the HNF rows (triangular with a
+    nonzero diagonal).
     """
-    if len(_pivot_columns_mod_p(rows, cap)) == cap:
-        return cap
-    cols = sorted(set().union(*rows))
-    return rank([[row.get(c, 0) for c in cols] for row in rows])
+    cols = _pivot_columns_mod_p(rows, cap)
+    if len(cols) == cap:
+        return cols
+    return [min(row) for row in _hnf_rows(rows)]
+
+
+def certified_rank(rows, cap: int) -> int:
+    """Exact rank over Q of sparse {column: value} rows known to have rank
+    at most cap (_basis_columns)."""
+    return len(_basis_columns(rows, cap))
 
 
 def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     """(s, coords): the dimension s of the linear span of a sequence of
-    vectors, known to be at most cap, and the vectors restricted to
-    coordinates on which restriction is injective on that span: s of them
-    whenever the modular pass finds s pivots, else all of them.
-
-    The vectors are eliminated modulo the prime (_pivot_columns_mod_p),
-    giving pivot columns C; s is certified as in certified_rank, by
-    |C| = cap or else by Bareiss.  The vectors that made the pivots,
-    restricted to C, form a square matrix that is invertible modulo the
-    prime, so its determinant is a nonzero integer and they are independent
-    over Q.  When |C| = s they are a basis of the span that restriction to C
-    maps to a basis of Q^C, so restriction to C is injective on the span.
-    An injective linear map changes no symmetric-power rank, and the
-    degree-k flattenings of the restricted vectors use at most
-    comb(s + k - 1, k) columns, the cap itself.
+    vectors, known to be at most cap, and the vectors restricted to the s
+    pivot columns of a basis of that span (_basis_columns), on which
+    restriction is injective.  An injective linear map changes no
+    symmetric-power rank, and the degree-k flattenings of the restricted
+    vectors use at most comb(s + k - 1, k) columns, the cap itself.
     """
     # shortest-vector lists are sorted with the first nonzero entry positive,
     # so the vectors that use coordinate 0 come last: read last-first, the
     # pass meets every coordinate early and reaches the cap in fewer rows
-    cols = set(_pivot_columns_mod_p(sym_power_rows(vectors[::-1], 1), cap))
-    span = cap if len(cols) == cap else rank(vectors)
-    if len(cols) < span:
-        return span, list(vectors)
+    cols = set(_basis_columns(sym_power_rows(vectors[::-1], 1), cap))
     keep = [c in cols for c in range(len(vectors[0]))]
-    return span, [tuple(compress(v, keep)) for v in vectors]
+    return len(cols), [tuple(compress(v, keep)) for v in vectors]
 
 
 def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:

@@ -33,14 +33,13 @@ def sym_square_rank(vectors, dim: int | None = None) -> int:
 
     Rows are the sparse upper-triangle flattenings with raw products
     v_i v_j; the rank over Q does not depend on that choice of weighting.
-    The dimension s of the span of the vectors is certified under the cap
+    The dimension s of the span of the vectors is found under the cap
     dim, a bound that a caller who knows one passes, such as the rank of a
     lattice containing the vectors; it defaults to the length of the
-    vectors.  The symmetric squares are taken on coordinates of that span
-    (intlinalg.span_coordinates: s of them whenever the modular span pass
-    finds s pivots, which leaves at most comb(s + 1, 2) columns), and their
-    rank is certified under the cap comb(s + 1, 2) by reduced row-echelon
-    elimination modulo a prime (intlinalg.certified_rank).
+    vectors.  The symmetric squares are taken on s coordinates on which the
+    span projects injectively (intlinalg.span_coordinates), so on at most
+    comb(s + 1, 2) columns, and their rank is intlinalg.certified_rank's
+    under the cap comb(s + 1, 2).
     """
     vecs = list(vectors)
     if not vecs:
@@ -314,7 +313,7 @@ def _neighbor_counts(targets, vectors) -> list[int]:
     return counts
 
 
-def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> NeighborStats:
+def neighbor_stats(lat: Lattice, v) -> NeighborStats:
     """Exact neighbor count of a shortest vector against the formula term.
 
     Neighbors are shortest vectors w with <v, w> = 2; each +- pair holds at
@@ -322,9 +321,8 @@ def neighbor_stats(lat: Lattice, v, mvs: MinimalVectorSet | None = None) -> Neig
     pattern decomposition of v, and the main term is 2d(min(gamma, 1-gamma)
     + 2 - delta).
     """
-    if mvs is None:
-        mvs = lattice.vectors_of_norm(lat, 4)
-    return _neighbor_term(v, lat.rank, _neighbor_counts([v], mvs.vectors)[0])
+    vecs = lattice.vectors_of_norm(lat, 4).vectors
+    return _neighbor_term(v, lat.rank, _neighbor_counts([v], vecs)[0])
 
 
 def neighbor_survey(lat: Lattice) -> list[NeighborStats]:

@@ -15,6 +15,19 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def xgcd(a, b):
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
 def dense_hnf(M):
     """Row-style Hermite normal form of M by the dense loop over full rows:
     per column, the first row with an entry at or below the pivot position
@@ -36,7 +49,7 @@ def dense_hnf(M):
             if not A[i][c]:
                 continue
             a, b = A[r][c], A[i][c]
-            g, x, y = intlinalg.xgcd(a, b)
+            g, x, y = xgcd(a, b)
             u, v = a // g, b // g
             Ar, Ai = A[r], A[i]
             A[r] = [x * p + y * q for p, q in zip(Ar, Ai)]
@@ -61,6 +74,34 @@ def dense_kernel_basis(n, rows):
     at += [[-m if s == i else 0 for s in range(r)] for i, m in mods]
     aug = [row + unit for row, unit in zip(at, identity(len(at)))]
     return [row[r:r + n] for row in dense_hnf(aug) if not any(row[:r])]
+
+
+def bareiss_rank(M):
+    """Exact rank over the rationals by fraction-free Bareiss elimination
+    (Bareiss 1968) on a copy of M; every division is exact by Sylvester's
+    identity."""
+    A = [list(row) for row in M]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if A[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+        Ar = A[r]
+        p = Ar[c]
+        for i in range(r + 1, nrows):
+            Ai = A[i]
+            q = Ai[c]
+            A[i] = [(p * a - q * b) // prev for a, b in zip(Ai, Ar)]
+        prev = p
+        r += 1
+    return r
 
 
 def gram_det_by_bareiss(B):

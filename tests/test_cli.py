@@ -209,6 +209,7 @@ def test_bad_jobs_value(capsys):
     ("scan-D", "--excl", "a"),
     ("graph", "Ld:5", "--base-vector", "1,a"),
     ("graph", "Ld:5", "--base-vector", ""),
+    ("graph", "Ld:5", "--base-vector", "0,0,0,0,0,0,0"),  # orthogonal to every vector
     ("minvec", "Ld:5", "--norm", "0"),
     ("--norm-cap", "0", "analyze", "Ld:5"),
     ("craig", "--q", "6", "--k", "2"),

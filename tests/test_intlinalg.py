@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import dense_hnf, dense_kernel_basis, gram_det_by_bareiss, identity
+from references import bareiss_rank, dense_hnf, dense_kernel_basis, gram_det_by_bareiss, identity
 
 from latlab import families, intlinalg, lattice, perfection
 from latlab.intlinalg import (
@@ -201,7 +201,7 @@ def test_hnf_idempotent_and_span_preserving(M):
 
 @settings(max_examples=300, deadline=None)
 @given(small_matrix)
-@example([[0, 2, 4], [0, 3, 1], [5, 0, 1]])  # pivot row swapped up, xgcd combinations
+@example([[0, 2, 4], [0, 3, 1], [5, 0, 1]])  # pivot row swapped up, unequal entries reduced
 def test_hnf_matches_the_dense_loop(M):
     assert hnf(M) == dense_hnf(M)
 
@@ -275,7 +275,7 @@ def test_sparse_rank_mod_p_matches_the_dense_loop(rows, offset):
     cap = max(full + offset, 1)
     result = dense_rank_mod_p(dense(rows), cap)
     assert_stops_with_the_dense_loop(rows, cap, result)
-    assert result[0] == min(full, cap) <= rank(dense(rows))
+    assert result[0] == min(full, cap) <= bareiss_rank(dense(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,21 +313,23 @@ def test_rows_meet_only_the_pivots_in_their_support(rows):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrix(mod_p_entry), st.integers(0, 2))
 @example([{0: _P, 1: 1}, {0: 1}], 0)  # rank 2 over Q, 1 mod the prime
+@example([{0: 0}, {0: 1, 1: 1}], 1)  # a stored zero, below the cap
 def test_certified_rank_is_exact_when_entries_vanish_mod_p(rows, extra):
-    r = rank(dense(rows))
+    r = bareiss_rank(dense(rows))
     assert certified_rank(rows, r + extra) == r
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(small_matrix.map(sparse), sparse_matrix()))
+@example([{0: 0}, {0: 1, 1: 1}])  # a stored zero, which the HNF must not see
 def test_certified_rank_matches_bareiss_rank(M):
-    r = rank(dense(M))
-    with mock.patch.object(intlinalg, "rank", wraps=intlinalg.rank) as fallback:
+    r = bareiss_rank(dense(M))
+    with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
         # every minor is far below the prime (Hadamard's bound), so a cap
         # equal to the rank is certified by the modular pass alone
         assert certified_rank(M, r) == r
         assert fallback.call_count == 0
-        # the modular rank cannot reach a cap above the rank, so Bareiss decides
+        # the modular rank cannot reach a cap above the rank, so the HNF decides
         assert certified_rank(M, r + 1) == r
         assert fallback.call_count == 1
 
@@ -371,7 +373,7 @@ def test_sym2_rank_of_the_analyze_specs(spec):
         cap = comb(d + 1, 2)
         assert_stops_with_the_dense_loop(sym_power_rows(vecs, 2), cap, dense_rank_mod_p(full, cap))
     if spec in BAREISS_SIZED:
-        assert rank(full) == SYM2_RANKS[spec]
+        assert bareiss_rank(full) == SYM2_RANKS[spec]
 
 
 @st.composite
@@ -393,13 +395,29 @@ def vector_sets(draw):
     return draw(st.permutations(vecs))
 
 
+# 13 vectors with entries near small multiples of _P.  Combining rows by
+# Bezout coefficients in the HNF of their Sym2 rows doubles the rows' size
+# with every column (seconds of CPU for 13 x 21 rows); Euclidean reduction
+# keeps them near the size of the result
+_LARGE_ENTRIES = [tuple(a * _P + b for a, b in zip(high, low)) for high, low in zip(
+    [[3, 1, -1, -1, 0, -2], [2, 0, -1, 0, 0, 1], [1, 1, 0, 2, 4, 1], [1, -2, -2, 1, -2, 4],
+     [0, 1, 0, 0, 0, 0], [-5, 2, 1, -3, -4, -1], [4, 0, -2, 0, 0, 2], [4, 0, -2, -4, -2, 0],
+     [0, 1, 0, -1, 0, 0], [-1, 0, 0, 1, 2, 0], [1, 0, 0, 0, 2, -1], [-4, -2, 0, -2, -4, -2],
+     [1, 0, 0, 1, 0, 2]],
+    [[6, -1, 5, 2, 4, 3], [0, -3, 0, 1, 0, 0], [2, 2, 0, 0, 1, -3], [-4, -8, -3, 2, -4, 0],
+     [2, 0, -1, 1, 2, -1], [-4, 1, -7, 1, 3, -6], [0, -6, 0, 2, 0, 0], [-8, -6, 0, 0, -1, -2],
+     [-2, 0, -2, 0, 1, -3], [0, 2, 1, 0, 0, -2], [0, 2, 3, -1, 0, 0], [-4, 0, 2, 0, -2, 2],
+     [0, -2, -3, 0, -1, 0]])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(vector_sets(), st.integers(0, 2))
 @example([(_P, 1), (0, 1)], 0)  # span 2, one pivot modulo the prime
+@example(_LARGE_ENTRIES, 1)
 @example([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 1)  # span 1 below dim 2
 def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
-    span = rank(vecs)
-    expected = rank(dense_sym_power_rows(vecs, 2))
+    span = bareiss_rank(vecs)
+    expected = bareiss_rank(dense_sym_power_rows(vecs, 2))
     assert perfection.sym_square_rank(vecs) == expected
     assert perfection.sym_square_rank(vecs, span + slack) == expected
     # when the modular pass finds the whole span, the vectors that made its
@@ -411,6 +429,24 @@ def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
         counts = [len(intlinalg._pivot_columns_mod_p(rows[:i], -1)) for i in range(len(rows) + 1)]
         made = [v for v, a, b in zip(vecs[::-1], counts, counts[1:]) if b > a]
         assert bareiss_det([[v[c] for c in cols] for v in made]) != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sets(), st.integers(1, 2))
+@example([(_P, 0), (0, 1)], 0)  # span 2, one pivot modulo the prime
+@example([(0, 0, 0), (1, 2, 3), (1, 2, 3), (0, 0, 0), (-2, -4, -6)], 1)  # span 1
+def test_span_coordinates_below_the_modular_cap(vecs, slack):
+    # the modular pass stops below the cap, so the HNF gives the span and
+    # its pivot columns: exactly s coordinates, injective on the span
+    s = bareiss_rank(vecs)
+    with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
+        span, coords = intlinalg.span_coordinates(vecs, s + slack)
+    assert fallback.call_count == 1
+    assert span == s
+    assert all(len(v) == s for v in coords)
+    assert bareiss_rank(coords) == s
+    squares = bareiss_rank(dense_sym_power_rows(vecs, 2))
+    assert perfection.sym_square_rank(vecs, s + slack) == squares
 
 
 def test_rank_examples():
@@ -850,9 +886,13 @@ if __name__ == "__main__":
     # was called with, and the CPU seconds of char_poly.  Last, for the
     # three largest kernel lattices the benchmark builds, it prints n, the
     # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
-    # nonzeros, the HNF row combinations (xgcd calls) of kernel_basis and of
-    # the dense reference loop, and the least CPU seconds of three runs of
-    # the kernel and of the Gram determinant, each next to its reference
+    # nonzeros, and the least CPU seconds of three runs of the kernel and of
+    # the Gram determinant, each next to its reference.
+    # Last, it recomputes the ten reference tables at --jobs 1 and prints
+    # their CPU seconds and, for the span and the Sym2 rank passes in turn,
+    # the fallbacks that the modular pass left to the HNF: their number,
+    # their rows x columns, and the CPU seconds of the HNF next to those of
+    # bareiss_rank on the same rows, whose rank it must match
     import contextlib
     import io
     import json
@@ -861,7 +901,7 @@ if __name__ == "__main__":
 
     from test_cli_corpus import corpus_argvs
 
-    from latlab import cli
+    from latlab import cli, tables
 
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_intlinalg.py --work")
@@ -936,18 +976,6 @@ if __name__ == "__main__":
         for record in polys:
             print(json.dumps(record), flush=True)
 
-    def combinations(kernel, n, rows):
-        calls = 0
-
-        def counting_xgcd(a, b, xgcd=intlinalg.xgcd):
-            nonlocal calls
-            calls += 1
-            return xgcd(a, b)
-
-        with mock.patch.object(intlinalg, "xgcd", counting_xgcd):
-            kernel(n, rows)
-        return calls
-
     def cpu(fn, *args):
         times = []
         for _ in range(3):
@@ -965,10 +993,55 @@ if __name__ == "__main__":
         print(json.dumps({
             "spec": spec, "n": n, "d": len(basis), "k": n - len(basis),
             "basis_nonzeros": sum(map(bool, sum(basis, []))),
-            "hnf_combinations": combinations(kernel_basis, n, cs.rows),
-            "hnf_combinations_ref": combinations(dense_kernel_basis, n, cs.rows),
             "kernel_cpu_s": cpu(kernel_basis, n, cs.rows),
             "kernel_ref_cpu_s": cpu(dense_kernel_basis, n, cs.rows),
             "det_cpu_s": cpu(echelon_gram_det, basis),
             "det_ref_cpu_s": cpu(gram_det_by_bareiss, basis),
+        }), flush=True)
+
+    fallbacks = {"span": [], "sym2": []}
+    hnf_cpu = []
+
+    def timed_hnf(rows, hnf_rows=intlinalg._hnf_rows):
+        start = time.process_time()
+        H = hnf_rows(rows)
+        hnf_cpu.append(time.process_time() - start)
+        return H
+
+    def watched(kind, fn, flattening):
+        def call(items, cap):
+            hnf_cpu.clear()
+            result = fn(items, cap)
+            if hnf_cpu:
+                fallbacks[kind].append((dense(flattening(items)), hnf_cpu[0], result))
+            return result
+        return call
+
+    with (mock.patch.object(intlinalg, "_hnf_rows", timed_hnf),
+          mock.patch.object(intlinalg, "span_coordinates",
+                            watched("span", intlinalg.span_coordinates,
+                                    lambda vecs: sym_power_rows(vecs, 1))),
+          mock.patch.object(intlinalg, "certified_rank",
+                            watched("sym2", intlinalg.certified_rank, lambda rows: rows))):
+        start = time.process_time()
+        for table_id in tables.TABLE_IDS:
+            tables.run_table(table_id, jobs=1)
+        tables_cpu = time.process_time() - start
+    print(json.dumps({"tables": len(tables.TABLE_IDS), "jobs": 1,
+                      "cpu_s": round(tables_cpu, 3)}), flush=True)
+    for kind, found in fallbacks.items():
+        shapes, ref_cpu = {}, 0.0
+        for M, _, result in found:
+            shape = (len(M), len(M[0]) if M else 0)
+            shapes[shape] = shapes.get(shape, 0) + 1
+            start = time.process_time()
+            ref = bareiss_rank(M)
+            ref_cpu += time.process_time() - start
+            if (result[0] if kind == "span" else result) != ref:
+                sys.exit(f"{kind} fallback on {shape} rows x columns differs from bareiss_rank")
+        print(json.dumps({
+            "fallbacks": kind, "count": len(found),
+            "rows_x_cols": {f"{r}x{c}": n for (r, c), n in sorted(shapes.items())},
+            "hnf_cpu_s": round(sum(cpu for _, cpu, _ in found), 4),
+            "bareiss_rank_cpu_s": round(ref_cpu, 4),
         }), flush=True)

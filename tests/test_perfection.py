@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import neighbor_counts_reference, srg_by_matrix_identity
+from references import bareiss_rank, neighbor_counts_reference, srg_by_matrix_identity
 
 from latlab import families, intlinalg, lattice, perfection, tables
 from latlab.errors import SpecError
@@ -50,17 +50,18 @@ def test_certified_rank_matches_bareiss():
         vecs = lattice.vectors_of_norm(lat, 4).vectors
         rows = intlinalg.sym_power_rows(vecs, 2)
         cols = sorted(set().union(*rows))
-        expected = intlinalg.rank([[row.get(c, 0) for c in cols] for row in rows])
+        expected = bareiss_rank([[row.get(c, 0) for c in cols] for row in rows])
         assert sym_square_rank(vecs) == sym_square_rank(vecs, lat.rank) == expected, spec
 
 
-def test_perfect_report_needs_no_bareiss(monkeypatch):
+def test_perfect_report_needs_no_fallback(monkeypatch):
     # a perfect lattice reaches both caps mod p, the span's and the square's
-    def no_bareiss(M):
-        raise AssertionError("Bareiss fallback on a perfect lattice")
+    def no_fallback(rows):
+        raise AssertionError("HNF fallback on a perfect lattice")
 
-    monkeypatch.setattr(intlinalg, "rank", no_bareiss)
-    rep = perfection_report(families.build_family("Ld:7"))
+    lat = families.build_family("Ld:7")
+    monkeypatch.setattr(intlinalg, "_hnf_rows", no_fallback)
+    rep = perfection_report(lat)
     assert (rep.sym_rank, rep.pd) == (28, 0)
 
 
@@ -255,9 +256,8 @@ def test_neighbor_counts_refuse_other_shapes():
 
 def test_neighbor_stats_single_vector_d30():
     lat = families.build_family("Ld:30")
-    mvs = lattice.vectors_of_norm(lat, 4)
     v = (1, -1, -1, 1) + (0,) * 28
-    stats = neighbor_stats(lat, v, mvs)
+    stats = neighbor_stats(lat, v)
     assert stats.gamma == Fraction(5, 62)
     assert stats.delta == Fraction(3, 31)
     assert stats.deviation <= MEASURED_NEIGHBOR_DEVIATION
@@ -279,7 +279,7 @@ def test_neighbor_survey_d20():
     # the survey agrees with the per-vector routine on a sample
     mvs = lattice.vectors_of_norm(lat, 4)
     sample = mvs.vectors[:: max(1, len(mvs.vectors) // 7)]
-    by_vec = {tuple(v): neighbor_stats(lat, v, mvs) for v in sample}
+    by_vec = {tuple(v): neighbor_stats(lat, v) for v in sample}
     for v, expected in by_vec.items():
         got = next(s for s in stats if (s.gamma, s.delta) == (expected.gamma, expected.delta)
                    and s.count == expected.count)
