@@ -16,9 +16,13 @@ independent ways:
   squared norm, where S_i = sum_(j>i) lam_ji x_j.  Scaling every norm by
   L = lcm(d_i d_(i-1)) makes each weight w_i = L / (d_i d_(i-1)) an integer,
   so the x_i within the remaining budget R are the one interval
-  |d_i x_i + S_i| <= isqrt(R // w_i).  The reduced basis is internal: the
-  vectors come out in ambient coordinates and ``Lattice.basis`` stays the
-  canonical HNF basis.
+  |d_i x_i + S_i| <= isqrt(R // w_i).  It reaches each +- pair once, with
+  the highest nonzero coefficient positive (while all coefficients above
+  level i are zero, S_i = 0 and x_i >= 0), and carries the partial ambient
+  vector and the lower levels' S_k down the levels: a nonzero x_i costs one
+  n-term and one i-term update, a zero one nothing.  The reduced basis is
+  internal: the vectors come out in ambient coordinates, sign-canonical,
+  and ``Lattice.basis`` stays the canonical HNF basis.
 
 The two must agree norm by norm; the test suite leans on that equivalence.
 """
@@ -255,8 +259,13 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
 
     Searches an LLL-reduced basis using its integral Gram-Schmidt data
     (intlinalg.lll), in integers throughout, so the search bounds are sharp
-    and nothing is lost to rounding.  Independent of vectors_of_norm by
-    construction.
+    and nothing is lost to rounding.  Each +- pair is reached once, with its
+    highest nonzero coefficient positive: while every coefficient above
+    level i is zero the centre is 0 and level i walks only x_i >= 0.  Each
+    level hands down the ambient vector and the centres S_k of the lower
+    levels over the coefficients placed so far, updated only by a nonzero
+    x_i, so a leaf costs one n-term update in place of up to d of them.
+    Independent of vectors_of_norm by construction.
     """
     if bound < 1:
         raise ValueError("norm bound must be positive")
@@ -268,33 +277,31 @@ def enumerate_by_basis_oracle(lat: Lattice, bound: int) -> dict[int, MinimalVect
     scale = lcm(*(dets[i] * dets[i + 1] for i in range(d)))
     w = [scale // (dets[i] * dets[i + 1]) for i in range(d)]
     budget = bound * scale
+    lows = [lam[i][:i] for i in range(d)]
 
-    buckets: dict[int, set[tuple[int, ...]]] = {m: set() for m in range(1, bound + 1)}
-    x = [0] * d
+    buckets: dict[int, list[tuple[int, ...]]] = {m: [] for m in range(1, bound + 1)}
 
-    def descend(i: int, used: int) -> None:
-        S = sum(lam[j][i] * x[j] for j in range(i + 1, d))
+    def descend(i: int, used: int, part: list[int], cent: list[int], placed: bool) -> None:
+        # part = sum_{j>i} x_j basis[j] and cent[k] = S_k over those x_j, for
+        # k <= i; placed says whether any of those x_j is nonzero
+        S = cent[i]
         di = dets[i + 1]
+        row, low = basis[i], lows[i]
         # w[i] t^2 <= budget - used for the integer t = di x_i + S
         r = isqrt((budget - used) // w[i])
-        for xi in range(-((r + S) // di), (r - S) // di + 1):
-            x[i] = xi
+        for xi in range(-((r + S) // di) if placed else 0, (r - S) // di + 1):
             t = di * xi + S
             used_i = used + w[i] * t * t
+            amb = [a + xi * b for a, b in zip(part, row)] if xi else part
             if i:
-                descend(i - 1, used_i)
-            elif any(x):
+                descend(i - 1, used_i, amb,
+                        [c + xi * l for c, l in zip(cent, low)] if xi else cent, placed or xi != 0)
+            elif placed or xi:
                 norm, rest = divmod(used_i, scale)
                 if rest or not 1 <= norm <= bound:
                     raise ArithmeticError(
                         f"oracle reached norm {used_i}/{scale} outside 1..{bound}")
-                amb = [0] * lat.ambient_dim
-                for c, row in zip(x, basis):
-                    if c:
-                        for s, y in enumerate(row):
-                            amb[s] += c * y
-                buckets[norm].add(sign_canonical(amb))
-        x[i] = 0
+                buckets[norm].append(sign_canonical(amb))
 
-    descend(d - 1, 0)
+    descend(d - 1, 0, [0] * lat.ambient_dim, [0] * d, False)
     return {m: MinimalVectorSet(m, tuple(sorted(vs))) for m, vs in buckets.items()}

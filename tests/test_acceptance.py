@@ -173,13 +173,18 @@ ORACLE_SPECS = (
 MEASURED_NEIGHBOR_DEVIATION = Fraction(898, 41)
 
 
+def oracle_bound(rank: int) -> int:
+    """The norm to which criterion 8 compares the oracle with enumeration."""
+    return 10 if rank <= 12 else 8
+
+
 def test_criterion_8_property_suites():
     with criterion(8, "oracle equivalence, neighbor bounds, split soundness, power series"):
         for spec_text in ORACLE_SPECS:
             spec = parse_family(spec_text, strict=False)
             lat = families.build_family(spec)
             assert lat.rank <= 16, spec_text
-            bound = 10 if lat.rank <= 9 else 8
+            bound = oracle_bound(lat.rank)
             oracle = lattice.enumerate_by_basis_oracle(lat, bound)
             for m in range(1, bound + 1):
                 assert oracle[m] == lattice.vectors_of_norm(lat, m), (spec_text, m)

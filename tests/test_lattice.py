@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import identity, support_sign_reference
-from test_acceptance import ORACLE_SPECS
+from test_acceptance import ORACLE_SPECS, oracle_bound
 
 from latlab import cli, families, intlinalg
 from latlab.errors import ConstructionError
@@ -215,6 +215,31 @@ def test_oracle_la_z8_36_pairs():
     assert enumerate_by_basis_oracle(lat, 4)[4].count == 36
 
 
+# the specs of the perfbench oracle workload, searched there to norm 8
+ORACLE_WORKLOAD_SPECS = (
+    "LA:Z/13", "Od:9:excl=3", "Mneg:Z/16", "Ld:8:excl=2,6", "Mneg:F2^3",
+    "SidonInv:q=11", "Craig:q=11,k=3", "T:3", "LA:Z/4+Z/2",
+    "LAsub:Z/9:drop=0", "Craig:q=9,k=2", "Craig:q=7,k=2", "Sidon:Z/7:set=0,1,3",
+)
+
+
+def test_oracle_reaches_each_sign_pair_once():
+    # the search walks one sign of each +- pair, its highest nonzero
+    # coefficient positive, so no vector may repeat; sign_canonical must still
+    # flip the ambient vector, which for the LLL top vector of Ld:6 is negative
+    line = build(_cs(2, [((1, 1), 0)]))
+    sets = enumerate_by_basis_oracle(line, 8)
+    assert {m: s.vectors for m, s in sets.items() if s.count} == {2: ((1, -1),), 8: ((2, -2),)}
+    ld6 = families.build_family("Ld:6")
+    assert intlinalg.lll(ld6.basis)[0][-1][0] < 0
+    lats = [line, ld6] + [families.build_family(families.parse_family(spec, strict=False))
+                          for spec in ORACLE_WORKLOAD_SPECS]
+    for lat in lats:
+        for m, mvs in enumerate_by_basis_oracle(lat, 8).items():
+            assert len(set(mvs.vectors)) == mvs.count, (lat.constraints.labels, m)
+            assert mvs == vectors_of_norm(lat, m), (lat.constraints.labels, m)
+
+
 def test_even_families_have_even_norms():
     for spec in ("Ld:8", "Od:8", "Md:8", "LA:Z/8", "Mneg:Z/12", "Craig:q=7,k=2"):
         lat = families.build_family(spec)
@@ -416,7 +441,8 @@ def test_enumeration_edge_cases():
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
-    # the norms of acceptance criterion 8, where the oracle is compared
+    # the criterion-8 specs, to norm 10 at rank <= 9 and to norm 8 above;
+    # criterion 8 compares the oracle to norm 10 up to rank 12
     lat = families.build_family(families.parse_family(spec, strict=False))
     for m in range(1, (10 if lat.rank <= 9 else 8) + 1):
         assert vectors_of_norm(lat, m) == support_sign_reference(lat, m), m
@@ -425,9 +451,14 @@ def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_lattice.py --work prints, for the
     # perfbench analyze specs at norms 1-4 and the criterion-8 specs at norm
-    # 8, the vectors that vectors_of_norm finds and its walk nodes.  A node
-    # is one call of the function named place nested in lattice.py, counted
-    # here by a profile hook, so the count needs no hook inside the package
+    # 8, the vectors that vectors_of_norm finds and its walk nodes; then, for
+    # the perfbench oracle workload specs at bound 8 and the criterion-8
+    # specs at their bound, the vectors that enumerate_by_basis_oracle finds,
+    # its nodes and its leaves.  A walk node is one call of the function
+    # named place nested in lattice.py, an oracle node one call of descend
+    # and an oracle leaf one call of sign_canonical (once per vector
+    # reached), all counted here by a profile hook, so the counts need no
+    # hook inside the package
     import sys
 
     from latlab import lattice
@@ -435,21 +466,33 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_lattice.py --work")
 
-    def walk_work(lat, m):
-        nodes = 0
+    def counted(call, *names):
+        calls = dict.fromkeys(names, 0)
 
-        def count_places(frame, event, arg):
-            nonlocal nodes
+        def count_calls(frame, event, arg):
             code = frame.f_code
-            if event == "call" and (code.co_filename, code.co_name) == (lattice.__file__, "place"):
-                nodes += 1
+            if event == "call" and code.co_filename == lattice.__file__ and code.co_name in calls:
+                calls[code.co_name] += 1
 
-        sys.setprofile(count_places)
+        sys.setprofile(count_calls)
         try:
-            found = vectors_of_norm(lat, m).count
+            result = call()
         finally:
             sys.setprofile(None)
-        return {"found": found, "nodes": nodes}
+        return result, calls
+
+    def walk_work(lat, m):
+        mvs, calls = counted(lambda: vectors_of_norm(lat, m), "place")
+        return {"found": mvs.count, "nodes": calls["place"]}
+
+    def oracle_work(lat, bound):
+        sets, calls = counted(lambda: enumerate_by_basis_oracle(lat, bound),
+                              "descend", "sign_canonical")
+        return {"bound": bound, "found": sum(mvs.count for mvs in sets.values()),
+                "nodes": calls["descend"], "leaves": calls["sign_canonical"]}
+
+    def lat_of(spec):
+        return families.build_family(families.parse_family(spec, strict=False))
 
     analyze_specs = ("Ld:26", "LA:Z/24", "Od:20", "Md:20", "Mneg:Z/30", "T:4",
                      "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
@@ -457,10 +500,21 @@ if __name__ == "__main__":
                                  ("criterion 8", ORACLE_SPECS, (8,))):
         total = {"found": 0, "nodes": 0}
         for spec in specs:
-            lat = families.build_family(families.parse_family(spec, strict=False))
+            lat = lat_of(spec)
             work = {m: walk_work(lat, m) for m in norms}
             for w in work.values():
                 total["found"] += w["found"]
                 total["nodes"] += w["nodes"]
             print(json.dumps({"corpus": corpus, "spec": spec, "norms": work}), flush=True)
+        print(json.dumps({"corpus": corpus, "total": total}), flush=True)
+    for corpus, specs, bound_of in (("oracle workload", ORACLE_WORKLOAD_SPECS, lambda lat: 8),
+                                    ("criterion 8 oracle", ORACLE_SPECS,
+                                     lambda lat: oracle_bound(lat.rank))):
+        total = {"found": 0, "nodes": 0, "leaves": 0}
+        for spec in specs:
+            lat = lat_of(spec)
+            work = oracle_work(lat, bound_of(lat))
+            for key in total:
+                total[key] += work[key]
+            print(json.dumps({"corpus": corpus, "spec": spec, "oracle": work}), flush=True)
         print(json.dumps({"corpus": corpus, "total": total}), flush=True)
