@@ -4,14 +4,14 @@ Subcommands: build, analyze, minvec, verify, table, scan-D, graph, craig.
 Output is JSON by default (every integer rendered as a decimal string) or
 CSV with --format csv.  Each _cmd_* function returns (exit code, JSON
 object, CSV tables as (header, rows) pairs); main is the one place that
-renders a result, so no command chooses a format.  graph alone prints its
-adjacency matrix first and returns no CSV tables: it gets JSON whatever the
-format.  Exit codes: 0 success / agreement, 1 verified mismatch, 2 usage
-error, 3 construction error; main maps SpecError to 2 and ConstructionError
-to 3, and argparse's own usage errors are raised as SpecError, so they too
-exit 2 with one error: line.  Parallelism for row-based commands comes from
---jobs or the LATLAB_JOBS environment variable; output is byte-identical for
-every parallelism degree.
+renders a result, so no command chooses a format.  graph alone returns a
+fourth item, its adjacency matrix text, which main writes first, and no CSV
+tables: it gets JSON whatever the format.  Exit codes: 0 success /
+agreement, 1 verified mismatch, 2 usage error, 3 construction error; main
+maps SpecError to 2 and ConstructionError to 3, and argparse's own usage
+errors are raised as SpecError, so they too exit 2 with one error: line.
+Parallelism for row-based commands comes from --jobs or the LATLAB_JOBS
+environment variable; output is byte-identical for every parallelism degree.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ def _cmd_graph(args, cfg: RunConfig):
     graph = perfection.minvec_graph(mvs, product, base_vector=base)
     info = {"vertices": graph.order, "degrees": dict(sorted(Counter(graph.degrees()).items())),
             "spectrum": graph.spectrum(), "srg": graph.srg_parameters()}
-    print(format_matrix([list(r) for r in graph.adjacency]), end="")
-    return EXIT_OK, info, None
+    return EXIT_OK, info, None, format_matrix(graph.adjacency)
 
 
 def _cmd_craig(args, cfg: RunConfig):
@@ -254,13 +253,14 @@ def main(argv=None) -> int:
                             ("--dmax", getattr(args, "dmax", None))):
             if value is not None and value < 1:
                 raise SpecError(f"{flag} must be at least 1")
-        code, obj, csv_tables = args.func(args, cfg)
+        code, obj, csv_tables, *text = args.func(args, cfg)
     except (SpecError, ConstructionError) as exc:
         # bad input is signalled by these two types alone; any other
         # exception is a bug and surfaces as a traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, SpecError) else EXIT_CONSTRUCTION
     # the one place a command's result reaches stdout
+    print(*text, sep="", end="")
     if cfg.format == "csv" and csv_tables is not None:
         for header, rows in csv_tables:
             _emit_csv(header, rows)

@@ -27,15 +27,15 @@ package is built on:
   comb(s + k - 1, k) columns, the cap itself,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
-* ``char_poly`` - characteristic polynomials by Hessenberg reduction modulo
-  one Mersenne prime above twice Hadamard's bound on the coefficients.
+* ``char_poly`` - characteristic polynomials modulo the 61-bit prime of
+  the rank certificate, by Hessenberg reduction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations_with_replacement, compress
-from math import comb, isqrt, prod
+from math import prod
 from operator import mul
 
 Matrix = list[list[int]]
@@ -216,6 +216,8 @@ def bareiss_det(M) -> int:
     return sign * prev
 
 
+# the Mersenne prime 2**61 - 1, proved prime by the Lucas-Lehmer test in the
+# tests; the modulus of the rank certificate and of char_poly
 _CERT_PRIME = (1 << 61) - 1
 
 
@@ -475,23 +477,28 @@ def gram_det(B) -> int:
     return echelon_gram_det(H)
 
 
-# exponents e of Mersenne primes 2**e - 1, each proved prime by the
-# Lucas-Lehmer test in the tests; the first gives _CERT_PRIME
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+def char_poly(M) -> list[int]:
+    """Residues modulo _CERT_PRIME of the coefficients of det(t*I - M),
+    highest degree first (monic).
 
-
-def _char_poly_mod_p(M, p: int) -> list[int]:
-    """Coefficients of det(t*I - M) mod p, lowest degree first.
-
-    M is brought to upper Hessenberg form H by similarity transforms over
-    GF(p) (row j+1 is the pivot row for column j; eliminating row k below it
-    subtracts u times row j+1 and adds u times column k to column j+1).  The
-    leading principal minors P_m = det(t*I - H[:m, :m]) then satisfy, with
-    indices from 1 and an empty product equal to 1,
+    Hessenberg method (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).  M is brought to upper Hessenberg form H by
+    similarity transforms over GF(p) (row j+1 is the pivot row for column j;
+    eliminating row k below it subtracts u times row j+1 and adds u times
+    column k to column j+1).  The leading principal minors
+    P_m = det(t*I - H[:m, :m]) then satisfy, with indices from 1 and an
+    empty product equal to 1,
         P_m = t P_(m-1) - sum_(i<=m) h[i][m] h[i+1][i] ... h[m][m-1] P_(i-1).
+    Reduction and recurrence use only field operations, valid over every
+    field, so each result is the true residue of its coefficient: no prime
+    is unlucky.
     """
+    n = len(M)
+    for row in M:
+        if len(row) != n:
+            raise ValueError("characteristic polynomial needs a square matrix")
+    p = _CERT_PRIME
     H = [[x % p for x in row] for row in M]
-    n = len(H)
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if H[i][j]), None)
         if piv is None:
@@ -521,35 +528,7 @@ def _char_poly_mod_p(M, p: int) -> list[int]:
             if not scale:
                 break
         polys.append([c % p for c in acc])
-    return polys[-1]
-
-
-def char_poly(M) -> list[int]:
-    """Coefficients of det(t*I - M), highest degree first (monic).
-
-    Hessenberg method modulo one prime (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9).  Coefficient c_j is (-1)^j times
-    the sum of the C(n, j) principal j x j minors, and by Hadamard's
-    inequality each of those is at most B^j in absolute value, where B^2 is
-    the largest squared row norm of M; so |c_j| <= C(n, j) B^j.  The prime p
-    is the smallest Mersenne prime 2**e - 1 of _MERSENNE_EXPONENTS above
-    twice the largest of these bounds, so each c_j lies in (-p/2, p/2) and is
-    the symmetric residue of c_j mod p.  Hessenberg reduction and its
-    recurrence use only field operations, valid over every field, so the
-    prime gives the true residue of every coefficient: no prime is unlucky.
-    """
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("characteristic polynomial needs a square matrix")
-    S = max((sum(x * x for x in row) for row in M), default=0)
-    bound = max(comb(n, j) * (isqrt(S**j) + 1) for j in range(n + 1))
-    p = next((q for e in _MERSENNE_EXPONENTS if (q := (1 << e) - 1) > 2 * bound), None)
-    if p is None:
-        raise ArithmeticError("characteristic polynomial needs a prime above "
-                              f"2**{_MERSENNE_EXPONENTS[-1]} - 1")
-    half = p // 2
-    return [x - p if x > half else x for x in reversed(_char_poly_mod_p(M, p))]
+    return polys[-1][::-1]
 
 
 def format_matrix(M) -> str:

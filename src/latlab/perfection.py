@@ -6,7 +6,7 @@ computes that rank exactly, derives perfection defaults, k-th power rank
 series, the hyperplane-splitting sufficient condition, perfection threshold
 scans over excluded indices, neighbor-count statistics of shortest vectors,
 and scalar-product graphs (degree profiles, strongly regular parameters,
-exact spectra).  Every rank comes from ``intlinalg``.
+certified exact spectra).  Every rank comes from ``intlinalg``.
 """
 
 from __future__ import annotations
@@ -365,43 +365,54 @@ class MinVectorGraph:
             return (self.order, degrees.pop(), lam.pop(), mu.pop())
         return None
 
-    def char_poly(self) -> list[int]:
-        return intlinalg.char_poly([list(row) for row in self.adjacency])
-
     def spectrum(self) -> dict[int, int] | None:
         """Eigenvalue multiplicities, or None unless all eigenvalues are integral.
 
-        Candidate roots are scanned inside the Gershgorin bound (the largest
-        absolute row sum), which contains every eigenvalue of the adjacency
-        matrix, so the factorization is complete whenever it exists.
+        Every eigenvalue of the adjacency matrix A lies in [-D, D], D the
+        Gershgorin bound (the largest absolute row sum), and the prime
+        p = intlinalg._CERT_PRIME exceeds 2D, so these integers are distinct
+        mod p.  They are stripped, with multiplicity, from chi_A mod p, and
+        the exact product of A - lambda I over the distinct roots lambda
+        found is checked.  A is symmetric, so diagonalisable: the product
+        vanishes if and only if every eigenvalue is a lambda.  Then chi_A
+        splits over Z into the factors t - lambda, and by unique
+        factorisation in F_p[t] their multiplicities are those found mod p.
+        An integral spectrum splits chi_A mod p into its own eigenvalues, so
+        a factor left over, or a product that does not vanish, means None.
         """
-        coeffs = self.char_poly()
+        coeffs = intlinalg.char_poly(self.adjacency)
         bound = max((sum(abs(x) for x in row) for row in self.adjacency), default=0)
         roots: dict[int, int] = {}
         for cand in range(bound, -bound - 1, -1):
-            while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
-                coeffs = _poly_divide_linear(coeffs, cand)
+            while len(coeffs) > 1:
+                quotient, remainder = _divide_linear(coeffs, cand)
+                if remainder:
+                    break
+                coeffs = quotient
                 roots[cand] = roots.get(cand, 0) + 1
         if len(coeffs) > 1:
             return None
-        return dict(sorted(roots.items(), reverse=True))
+        # each row of the product is one integer, its entries digits in base
+        # 2**b; for K factors they are at most (2D)^K < 2**(b - 1) in absolute
+        # value, so a row is zero exactly when its integer is
+        b = len(roots) * (2 * bound).bit_length() + 1
+        terms = [[(j, a) for j, a in enumerate(row) if a] for row in self.adjacency]
+        P = [1 << (b * i) for i in range(self.order)]
+        for lam in roots:
+            P = [sum(a * P[j] for j, a in term) - lam * Pi for term, Pi in zip(terms, P)]
+        if any(P):
+            return None
+        return roots
 
 
-def _poly_eval(coeffs, x: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divide_linear(coeffs, root: int) -> list[int]:
-    # synthetic division by (t - root); the remainder must vanish
+def _divide_linear(coeffs, root: int) -> tuple[list[int], int]:
+    """(quotient, remainder) of coeffs, highest degree first, divided by
+    t - root modulo intlinalg._CERT_PRIME; the remainder is the value at root."""
+    p = intlinalg._CERT_PRIME
     out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + root * out[-1])
-    if coeffs[-1] + root * out[-1]:
-        raise ArithmeticError("synthetic division left a remainder")
-    return out
+    for c in coeffs[1:]:
+        out.append((c + root * out[-1]) % p)
+    return out[:-1], out[-1]
 
 
 def minvec_graph(mvs: MinimalVectorSet, product_value: int,

@@ -271,3 +271,48 @@ def srg_by_matrix_identity(adjacency):
     if lam is None or mu is None:
         return None
     return (n, k, lam, mu)
+
+
+def faddeev_leverrier(M):
+    """Coefficients of det(t*I - M), highest degree first, by the
+    Faddeev-LeVerrier recurrence; every division is exact, so the whole
+    computation stays in the integers."""
+    n = len(M)
+    for row in M:
+        if len(row) != n:
+            raise ValueError("characteristic polynomial needs a square matrix")
+    if n == 0:
+        return [1]
+    coeffs = [1]
+    Mk = [list(row) for row in M]
+    for k in range(1, n + 1):
+        ck, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
+        coeffs.append(ck)
+        if k == n:
+            break
+        for i in range(n):
+            Mk[i][i] += ck
+        Mk = intlinalg.mat_mul(M, Mk)
+    return coeffs
+
+
+def spectrum_by_exact_roots(adjacency):
+    """Eigenvalue multiplicities of a symmetric integer matrix, or None
+    unless all eigenvalues are integral: the integer roots inside the
+    Gershgorin bound, each divided out of the exact characteristic
+    polynomial as often as it divides it."""
+    coeffs = faddeev_leverrier([list(row) for row in adjacency])
+    bound = max((sum(abs(x) for x in row) for row in adjacency), default=0)
+    roots = {}
+    for cand in range(bound, -bound - 1, -1):
+        while len(coeffs) > 1:
+            out = [coeffs[0]]
+            for c in coeffs[1:]:
+                out.append(c + cand * out[-1])
+            if out[-1]:
+                break
+            coeffs = out[:-1]
+            roots[cand] = roots.get(cand, 0) + 1
+    return roots if len(coeffs) == 1 else None

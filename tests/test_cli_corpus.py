@@ -70,11 +70,13 @@ _PRIME_POWER_HISTOGRAMS = (
     ("craig", "--q", "49", "--k", "2", "--method", "histogram"),
 )
 
-# no spectrum and no srg; a spectrum but no srg; D unresolved, no perfect d
+# no spectrum and no srg; a spectrum but no srg; D unresolved, no perfect d;
+# no spectrum, with degrees 9-23
 _NULL_PATHS = (
     ("graph", "Ld:6"),
     ("graph", "LA:Z/3+Z/3", "--norm", "4"),
     ("scan-D", "--excl", "6", "--dmax", "8"),
+    ("graph", "LA:Z/3+Z/3", "--norm", "4", "--product", "1"),
 )
 
 # characteristic polynomials with coefficients of more than 61 bits or
@@ -86,6 +88,7 @@ _CHAR_POLY = (
     ("graph", "Mneg:Z/16"),
     ("graph", "Ld:7"),
     ("graph", "Craig:q=11,k=2", "--product", "2"),
+    ("graph", "T:4"),
 )
 
 # Sym2 ranks over several thousand rows: the sparse modular eliminator's

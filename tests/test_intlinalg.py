@@ -1,13 +1,20 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, isqrt, prod
+from math import comb, prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import bareiss_rank, dense_hnf, dense_kernel_basis, gram_det_by_bareiss, identity
+from references import (
+    bareiss_rank,
+    dense_hnf,
+    dense_kernel_basis,
+    faddeev_leverrier,
+    gram_det_by_bareiss,
+    identity,
+)
 
 from latlab import families, intlinalg, lattice, perfection
 from latlab.intlinalg import (
@@ -91,31 +98,6 @@ def poly_eval_matrix(coeffs, M):
         for i in range(n):
             acc[i][i] += c
     return acc
-
-
-def faddeev_leverrier(M):
-    """Coefficients of det(t*I - M), highest degree first, by the
-    Faddeev-LeVerrier recurrence; every division is exact, so the whole
-    computation stays in the integers."""
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [1]
-    coeffs = [1]
-    Mk = [list(row) for row in M]
-    for k in range(1, n + 1):
-        ck, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            Mk[i][i] += ck
-        Mk = mat_mul(M, Mk)
-    return coeffs
 
 
 def dense_rank_mod_p(rows, cap):
@@ -517,9 +499,13 @@ def test_echelon_gram_det_rejects_rows_out_of_echelon_form():
         echelon_gram_det([[1, 1, 2], [0, 0, 0]])
 
 
+def _residues(coeffs):
+    return [c % _P for c in coeffs]
+
+
 def test_char_poly_examples():
     assert char_poly([[0, 0], [0, 0]]) == [1, 0, 0]
-    assert char_poly([[1, 0], [0, 1]]) == [1, -2, 1]
+    assert char_poly([[1, 0], [0, 1]]) == [1, _P - 2, 1]
     with pytest.raises(ValueError):
         char_poly([[1, 2, 3], [4, 5, 6]])
 
@@ -532,7 +518,7 @@ def test_char_poly_examples():
 def test_cayley_hamilton(M):
     coeffs = char_poly(M)
     n = len(M)
-    assert poly_eval_matrix(coeffs, M) == [[0] * n for _ in range(n)]
+    assert _residues(sum(poly_eval_matrix(coeffs, M), [])) == [0] * (n * n)
 
 
 def test_cayley_hamilton_size_ten():
@@ -540,7 +526,7 @@ def test_cayley_hamilton_size_ten():
     for _ in range(3):
         M = [[rng.randrange(-3, 4) for _ in range(10)] for _ in range(10)]
         coeffs = char_poly(M)
-        assert poly_eval_matrix(coeffs, M) == [[0] * 10 for _ in range(10)]
+        assert _residues(sum(poly_eval_matrix(coeffs, M), [])) == [0] * 100
 
 
 def _square_of_size(n):
@@ -563,7 +549,7 @@ def _scaled(M, c):
 
 # general (non-symmetric) squares, squares with a forced zero row (singular),
 # strictly upper-triangular squares (nilpotent) and squares scaled by up to
-# 2**200, whose coefficient bounds reach the primes above 2**127 - 1
+# 2**200, whose coefficients are far larger than the prime
 char_poly_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
     _square_of_size(n),
     st.builds(_zero_row, _square_of_size(n), st.integers(0, n - 1)),
@@ -580,39 +566,13 @@ char_poly_matrix = st.integers(1, 8).flatmap(lambda n: st.one_of(
 @example([[1, 2], [2, 4]])
 @example([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 def test_char_poly_matches_faddeev_leverrier(M):
-    assert char_poly(M) == faddeev_leverrier(M)
-
-
-def _prime_calls():
-    return mock.patch.object(intlinalg, "_char_poly_mod_p", wraps=intlinalg._char_poly_mod_p)
-
-
-def _bound(M):
-    """Hadamard's bound on the coefficients of the characteristic polynomial."""
-    S = max((sum(x * x for x in row) for row in M), default=0)
-    return max(comb(len(M), j) * (isqrt(S**j) + 1) for j in range(len(M) + 1))
-
-
-def test_char_poly_takes_the_smallest_mersenne_prime_above_twice_the_bound():
-    rng = random.Random(5)
-    primes = [(1 << e) - 1 for e in intlinalg._MERSENNE_EXPONENTS]
-    for top in (1, 1 << 40, 1 << 150):
-        M = [[rng.randint(-top, top) for _ in range(8)] for _ in range(8)]
-        with _prime_calls() as calls:
-            coeffs = char_poly(M)
-        assert coeffs == faddeev_leverrier(M)
-        assert calls.call_count == 1
-        p = calls.call_args.args[1]
-        assert p == min(q for q in primes if q > 2 * _bound(M))
+    assert char_poly(M) == _residues(faddeev_leverrier(M))
 
 
 def test_char_poly_of_a_matrix_zero_mod_the_first_prime():
-    p = intlinalg._CERT_PRIME
-    M = [[p * x for x in row] for row in ([1, -2, 0], [3, 1, 1], [0, 5, -1])]
-    assert [[x % p for x in row] for row in M] == [[0] * 3] * 3
-    with _prime_calls() as calls:
-        assert char_poly(M) == faddeev_leverrier(M)
-    assert calls.call_args.args[1] > p
+    M = [[_P * x for x in row] for row in ([1, -2, 0], [3, 1, 1], [0, 5, -1])]
+    assert faddeev_leverrier(M) != [1, 0, 0, 0]
+    assert char_poly(M) == _residues(faddeev_leverrier(M)) == [1, 0, 0, 0]
 
 
 def test_char_poly_of_a_large_diagonal():
@@ -621,15 +581,7 @@ def test_char_poly_of_a_large_diagonal():
     expected = [1]
     for r in d:  # multiply by (t - r)
         expected = [a - r * b for a, b in zip(expected + [0], [0] + expected)]
-    assert char_poly(M) == expected
-
-
-def test_char_poly_raises_when_the_prime_list_runs_out():
-    M = [[1 << 80, 1], [1, 1 << 80]]
-    with mock.patch.object(intlinalg, "_MERSENNE_EXPONENTS", (61, 89)):
-        with pytest.raises(ArithmeticError, match=r"prime above 2\*\*89 - 1"):
-            char_poly(M)
-    assert char_poly(M) == faddeev_leverrier(M)
+    assert char_poly(M) == _residues(expected)
 
 
 def lucas_lehmer(e):
@@ -641,11 +593,9 @@ def lucas_lehmer(e):
     return s == 0
 
 
-def test_prime_list():
-    exponents = intlinalg._MERSENNE_EXPONENTS
-    assert list(exponents) == sorted(exponents)
-    assert (1 << exponents[0]) - 1 == intlinalg._CERT_PRIME == (1 << 61) - 1
-    assert all(lucas_lehmer(e) for e in exponents)
+def test_cert_prime_is_a_mersenne_prime():
+    assert _P == (1 << 61) - 1
+    assert lucas_lehmer(61)
     # prime exponents whose Mersenne numbers are composite
     assert not any(lucas_lehmer(e) for e in (11, 23, 29, 67, 257))
 
@@ -672,7 +622,7 @@ def test_hnf_det_rank_and_char_poly_match_sympy():
         n = rng.randint(1, 6)
         Q = matrix(n, n)
         assert bareiss_det(Q) == sympy.Matrix(Q).det(method="berkowitz"), Q
-        assert char_poly(Q) == sympy.Matrix(Q).charpoly().all_coeffs(), Q
+        assert char_poly(Q) == _residues(sympy.Matrix(Q).charpoly().all_coeffs()), Q
 
 
 def assert_lll_output(B, b, d, lam):
@@ -881,9 +831,11 @@ if __name__ == "__main__":
     # the eliminator: the rows it read, the rows it reduced to zero, and
     # its entry updates, one per pivot-row entry that _subtract applies.
     # It then runs every graph argv of the CLI corpus and prints, for each
-    # characteristic polynomial taken, the order n, the bit length of the
-    # coefficient bound, the bit lengths of the moduli that _char_poly_mod_p
-    # was called with, and the CPU seconds of char_poly.  Last, for the
+    # spectrum taken, the order n, the Gershgorin bound, the distinct roots
+    # stripped from the characteristic polynomial mod p, whether the exact
+    # certificate ran (it runs when those roots split the polynomial),
+    # whether the spectrum is integral, and the CPU seconds of char_poly and
+    # of the whole spectrum, char_poly included.  Last, for the
     # three largest kernel lattices the benchmark builds, it prints n, the
     # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
     # nonzeros, and the least CPU seconds of three runs of the kernel and of
@@ -950,30 +902,47 @@ if __name__ == "__main__":
         }), flush=True)
 
     def char_poly_work(M, char_poly=intlinalg.char_poly):
-        with _prime_calls() as calls:
-            start = time.process_time()
-            coeffs = char_poly(M)
-            cpu = time.process_time() - start
-        polys.append({
-            "argv": " ".join(argv), "n": len(M), "bound_bits": _bound(M).bit_length(),
-            "moduli_bits": [c.args[1].bit_length() for c in calls.call_args_list],
-            "cpu_s": round(cpu, 4),
-        })
+        start = time.process_time()
+        coeffs = char_poly(M)
+        char_poly_cpu.append(time.process_time() - start)
         return coeffs
 
-    seen = set()
+    def divide_work(coeffs, root, divide=perfection._divide_linear):
+        quotient, remainder = divide(coeffs, root)
+        if not remainder:
+            stripped.append(root)
+        return quotient, remainder
+
+    def spectrum_work(graph, spectrum=perfection.MinVectorGraph.spectrum):
+        char_poly_cpu.clear()
+        stripped.clear()
+        start = time.process_time()
+        result = spectrum(graph)
+        cpu = time.process_time() - start
+        spectra.append({
+            "argv": " ".join(argv), "n": graph.order,
+            "gershgorin": max((sum(map(abs, row)) for row in graph.adjacency), default=0),
+            "roots": sorted(set(stripped), reverse=True),
+            "certificate": len(stripped) == graph.order, "integral": result is not None,
+            "char_poly_cpu_s": round(sum(char_poly_cpu), 4), "spectrum_cpu_s": round(cpu, 4),
+        })
+        return result
+
+    char_poly_cpu, stripped, seen = [], [], set()
     for argv in corpus_argvs():
         if argv[0] == "--format":
             argv = argv[4:]  # the README entries repeat per format and --jobs
         if argv[0] != "graph" or tuple(argv) in seen:
             continue
         seen.add(tuple(argv))
-        polys = []
-        with mock.patch.object(intlinalg, "char_poly", char_poly_work), \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        spectra = []
+        with (mock.patch.object(intlinalg, "char_poly", char_poly_work),
+              mock.patch.object(perfection, "_divide_linear", divide_work),
+              mock.patch.object(perfection.MinVectorGraph, "spectrum", spectrum_work),
+              contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
             cli.main(argv)
-        for record in polys:
+        for record in spectra:
             print(json.dumps(record), flush=True)
 
     def cpu(fn, *args):

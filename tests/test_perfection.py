@@ -1,11 +1,17 @@
 from fractions import Fraction
 from itertools import combinations, compress
-from math import comb
+from math import comb, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from references import bareiss_rank, neighbor_counts_reference, srg_by_matrix_identity
+from references import (
+    bareiss_rank,
+    neighbor_counts_reference,
+    spectrum_by_exact_roots,
+    srg_by_matrix_identity,
+)
 
 from latlab import families, intlinalg, lattice, perfection, tables
 from latlab.errors import SpecError
@@ -331,6 +337,88 @@ def test_srg_parameters_match_the_matrix_identity(graph):
     assert graph.srg_parameters() == srg_by_matrix_identity(graph.adjacency)
 
 
+def _matrix_graph(adjacency):
+    return perfection.MinVectorGraph(tuple((i,) for i in range(len(adjacency))),
+                                     tuple(map(tuple, adjacency)))
+
+
+def _symmetric(n, bits):
+    """The symmetric 0/1 matrix with its upper triangle, diagonal included,
+    read row by row from bits."""
+    A = [[0] * n for _ in range(n)]
+    cells = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), bit in zip(cells, bits):
+        A[i][j] = A[j][i] = int(bit)
+    return _matrix_graph(A)
+
+
+def _complete_bipartite(a, b):
+    return _graph([(i, a + j) for i in range(a) for j in range(b)], a + b)
+
+
+def _hypercube(d):
+    return _graph([(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d)], 1 << d)
+
+
+def _disjoint_union(g, h):
+    n, m = g.order, h.order
+    return _matrix_graph([list(row) + [0] * m for row in g.adjacency]
+                         + [[0] * n + list(row) for row in h.adjacency])
+
+
+_PETERSEN = _graph([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                   + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10)
+
+# graphs whose spectra are integral: complete graphs, K_(a,b) with ab a
+# square (eigenvalues +-sqrt(ab) and 0), hypercubes, the Petersen graph, the
+# empty graphs, and disjoint unions of two of these
+_integral_graph = st.one_of(
+    st.builds(_circulant, st.integers(1, 8), st.just(range(1, 8))),
+    st.sampled_from([(a, b) for a in range(1, 7) for b in range(a, 10)
+                     if isqrt(a * b) ** 2 == a * b]).map(lambda ab: _complete_bipartite(*ab)),
+    st.builds(_hypercube, st.integers(0, 4)),
+    st.just(_PETERSEN),
+    st.builds(_graph, st.just([]), st.integers(0, 6)),
+)
+integral_graphs = st.one_of(_integral_graph,
+                            st.builds(_disjoint_union, _integral_graph, _integral_graph))
+
+symmetric_matrices = st.integers(0, 12).flatmap(lambda n: st.builds(
+    _symmetric, st.just(n), st.lists(st.booleans(), min_size=comb(n + 1, 2),
+                                     max_size=comb(n + 1, 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices)
+@example(_circulant(5, (1,)))  # the 5-cycle: eigenvalues 2 and (-1 +- sqrt 5)/2
+@example(_PETERSEN)
+def test_spectrum_matches_the_exact_roots(graph):
+    assert graph.spectrum() == spectrum_by_exact_roots(graph.adjacency)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_graphs)
+def test_integral_spectra_match_the_exact_roots(graph):
+    spectrum = graph.spectrum()
+    assert spectrum is not None
+    assert spectrum == spectrum_by_exact_roots(graph.adjacency)
+
+
+def test_spectrum_is_certified_where_the_polynomial_splits_mod_p():
+    # mod 5 the 5-cycle's characteristic polynomial t^5 - 5t^3 + 5t - 2 is
+    # t^5 + 3 = (t - 2)^5, yet its eigenvalues 2 and (-1 +- sqrt 5)/2 are not
+    # all integers: the exact product A - 2I does not vanish
+    c5 = _circulant(5, (1,))
+    with mock.patch.object(intlinalg, "_CERT_PRIME", 5):
+        assert intlinalg.char_poly(c5.adjacency) == [1, 0, 0, 0, 0, 3]
+        assert c5.spectrum() is None
+    # K4's (t - 3)(t + 1)^3 splits mod 11 into the same roots, and
+    # (A - 3I)(A + I) = 0
+    k4 = _circulant(4, (1, 2))
+    with mock.patch.object(intlinalg, "_CERT_PRIME", 11):
+        assert k4.spectrum() == {3: 1, -1: 3}
+
+
 def test_schlafli_graph():
     lat = families.build_family("T:3")
     mvs = lattice.vectors_of_norm(lat, 3)
@@ -345,7 +433,8 @@ def test_schlafli_graph():
         for _ in range(mult):
             expected = [a - root * b for a, b in
                         zip(expected + [0], [0] + expected)]
-    assert graph.char_poly() == expected
+    p = intlinalg._CERT_PRIME
+    assert intlinalg.char_poly(graph.adjacency) == [c % p for c in expected]
 
 
 def test_orthogonality_profiles_distinguish_order9_groups():

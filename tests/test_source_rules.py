@@ -17,14 +17,15 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_cli_main_renders_a_result():
-    # each _cmd_* returns its result; main alone chooses JSON or CSV
+    # each _cmd_* returns its result; main alone chooses JSON or CSV and
+    # writes stdout
     tree = ast.parse((Path(latlab.__file__).parent / "cli.py").read_text())
     found = [
         f"{func.name}:{node.lineno}"
         for func in tree.body
         if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
         for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id in ("_emit_json", "_emit_csv")
+        if isinstance(node, ast.Name) and node.id in ("_emit_json", "_emit_csv", "print")
     ]
     assert not found, found
 
