@@ -7,8 +7,10 @@ independent ways:
 
 * ``vectors_of_norm`` walks supports and signs in the ambient space over
   the remaining norm, pruning with interval bounds on the equality rows, and
-  finds the last two coordinates by one lookup in a table keyed by what a
-  pair adds to every row sum, so congruence rows prune there as well;
+  finds the last t coordinates by one lookup in a table keyed by what they
+  add to every row sum, so congruence rows prune there as well.  The width
+  t is 2, or 3 where the walk level that the triple tables save costs more
+  than the tables (``_lookup_width``, from n and the norm alone);
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
   coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
   integers throughout.  With the basis's integral Gram-Schmidt data d_i and
@@ -31,8 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from . import intlinalg
 from .errors import ConstructionError
@@ -145,26 +146,56 @@ def square_patterns(m: int, cap: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
+def _lookup_width(n: int, m: int) -> int:
+    """How many last coordinates vectors_of_norm finds by one lookup: 3 where
+    the walk level that the triple tables save costs more than the tables,
+    else 2.
+
+    The walk of width t is taken at its deepest level, m - t values +-1:
+    C(n, m - t) 2^(m - t) nodes.  The triple tables for the remaining norms
+    up to m hold C(n, 3) entries per signed triple of nonzero values with
+    squares summing to at most m, and an entry costs about three nodes.  The
+    rule sees neither the rows nor how much they prune.
+    """
+    if m < 3:
+        return 2
+    pair_walk = comb(n, m - 2) << (m - 2)
+    triple_walk = comb(n, m - 3) << (m - 3)
+    if triple_walk >= pair_walk:
+        return 2
+    s = isqrt(m)
+    triples = 8 * sum(isqrt(m - a * a - b * b) for a in range(1, s + 1)
+                      for b in range(1, s + 1) if a * a + b * b < m)
+    return 3 if triple_walk + 3 * comb(n, 3) * triples < pair_walk else 2
+
+
 def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     """Complete sign-canonical set of lattice vectors of squared norm m.
 
     One walk places support coordinates in increasing order, each with a
     nonzero value out of the remaining norm budget r, the first one positive.
     As |x| <= x^2, the unplaced values add at most r times the largest later
-    weight to an equality row's sum, which prunes the walk.  Each node then
-    looks up the last two coordinates i < j: holding x_i, x_j they add the
-    key (w_i x_i + w_j x_j per equality row, that sum mod q per congruence
-    row of modulus q) to the running row sums, so the pair must have the key
-    (-sums, -sums mod q).  The table from that key to the sorted
-    (i, j, x_i, x_j) with x_i^2 + x_j^2 = r is built when the walk first asks
-    for r and lives for this call.  A vector with support s >= 2 is found
-    only at the node holding its first s - 2 coordinates, so exactly once;
-    support 1 is checked directly.
+    weight to an equality row's sum, which prunes the walk.  After each
+    placement one lookup finds the last t coordinates, with t = 2 or 3 for
+    the whole call (_lookup_width): holding their values they add the key
+    (the weighted sum per equality row, that sum mod q per congruence row of
+    modulus q) to the running row sums, so they must have the key
+    (-sums, -sums mod q).  The table from that key to the (coordinate,
+    value) cells of t nonzero values with squares summing to r, ordered by
+    their lowest coordinate, is built the first time the walk needs r and
+    lives for this call.  A triple table joins each coordinate k and value z
+    with the entries of the pair table of r - z^2 above k.  The walk skips
+    the lookup where the table is empty, and a placement that can neither
+    look up nor place again.  A vector with support s > t is found only at
+    the placement of its (s - t)-th coordinate, so exactly once; supports 1
+    to t are found at the root, support 1 directly and the others by
+    lookup, each with its lowest coordinate positive.
     """
     if m < 1:
         raise ValueError("norm must be positive")
     cs = lat.constraints
     n = cs.ambient_dim
+    width = _lookup_width(n, m)
     # equality rows first: only they have interval bounds
     rows = sorted(cs.rows, key=lambda row: row[1] > 0)
     mods = [mod for _, mod in rows]
@@ -176,43 +207,63 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
         for j in range(n - 1, -1, -1):
             sm[j] = max(sm[j + 1], abs(w[j]))
         sufmax.append(sm)
-    tables: dict[int, dict[tuple[int, ...], list[tuple[int, int, int, int]]]] = {}
+    # (width, r) -> key -> the hits' (coordinate, value) cells, in order of
+    # their lowest coordinate
+    tables: dict[tuple[int, int], dict[tuple[int, ...], list[tuple]]] = {}
 
-    def pairs(r: int) -> dict:
-        if r not in tables:
-            tab = tables[r] = {}
-            for a in range(1, isqrt(r - 1) + 1):
-                b = isqrt(r - a * a)
-                if b * b != r - a * a:
-                    continue
-                for x, y in ((a, b), (a, -b), (-a, b), (-a, -b)):
-                    for i, j in combinations(range(n), 2):
-                        key = tuple([(u * x + v * y) % mod if mod else u * x + v * y
-                                     for u, v, mod in zip(cols[i], cols[j], mods)])
-                        tab.setdefault(key, []).append((i, j, x, y))
-            for hits in tab.values():
-                hits.sort()
-        return tables[r]
+    def table(t: int, r: int) -> dict:
+        tab = tables.get((t, r))
+        if tab is None:
+            tab = tables[t, r] = {}
+            if t == 2:
+                values = []
+                for a in range(1, isqrt(r - 1) + 1):
+                    b = isqrt(r - a * a)
+                    if b * b == r - a * a:
+                        values += [(a, b), (a, -b), (-a, b), (-a, -b)]
+                # one (coordinate, value) cell per coordinate and value, shared
+                cells = {y: [(j, y) for j in range(n)] for y in {y for _, y in values}}
+                for i, ci in enumerate(cols):
+                    for x, y in values:
+                        cx, cy = cells[x][i], cells[y]
+                        for j in range(i + 1, n):
+                            key = tuple([(u * x + v * y) % mod if mod else u * x + v * y
+                                         for u, v, mod in zip(ci, cols[j], mods)])
+                            tab.setdefault(key, []).append((cx, cy[j]))
+            else:
+                # each pair table's keys by falling top coordinate, so those
+                # with hits above k come first; the join appends in increasing k
+                joins = [(a, sorted(table(2, r - a * a).items(), key=lambda kv: -kv[1][-1][0][0]))
+                         for a in range(1, isqrt(r - 2) + 1)]
+                for k, col in enumerate(cols):
+                    for a, keyed in joins:
+                        for key, hits in keyed:
+                            if hits[-1][0][0] <= k:
+                                break
+                            above = hits[bisect_left(hits, ((k + 1,),)):]
+                            for z in (a, -a):
+                                head = ((k, z),)
+                                key3 = tuple([(u * z + v) % mod if mod else u * z + v
+                                              for u, v, mod in zip(col, key, mods)])
+                                tab.setdefault(key3, []).extend([head + cells for cells in above])
+        return tab
 
     found: list[tuple[int, ...]] = []
     picks: list[tuple[int, int]] = []
     sums = [0] * len(rows)
 
     def place(lo: int, r: int) -> None:
-        hits = pairs(r).get(tuple([(-x) % mod if mod else -x for x, mod in zip(sums, mods)]), ())
-        for i, j, x, y in hits[bisect_left(hits, (lo,)):]:
-            if picks or x > 0:
-                vec = [0] * n
-                for k, z in picks:
-                    vec[k] = z
-                vec[i], vec[j] = x, y
-                found.append(tuple(vec))
-        if r < 3:
-            return
-        for idx in range(lo, n - 2):
+        # place the next support coordinate idx >= lo, look up the last
+        # `width` coordinates above it, and descend while r leaves room
+        steps = [(a, r - a * a, table(width, r - a * a)) for a in range(1, isqrt(r - width) + 1)]
+        for idx in range(lo, n - width):
             col = cols[idx]
-            for a in range(1, isqrt(r - 2) + 1):
-                rs = r - a * a
+            deeper = idx + 1 < n - width
+            first = ((idx + 1,),)  # sorts just before the cells from coordinate idx + 1 on
+            for a, rs, tab in steps:
+                descend = deeper and rs > width
+                if not (tab or descend):
+                    continue
                 for x in (a, -a) if picks else (a,):
                     for t, c in enumerate(col):
                         sums[t] += c * x
@@ -221,7 +272,19 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
                             break
                     else:
                         picks.append((idx, x))
-                        place(idx + 1, rs)
+                        if tab:
+                            hits = tab.get(tuple([(-v) % mod if mod else -v
+                                                  for v, mod in zip(sums, mods)]))
+                            if hits:
+                                for cells in hits[bisect_left(hits, first):]:
+                                    vec = [0] * n
+                                    for k, z in picks:
+                                        vec[k] = z
+                                    for k, z in cells:
+                                        vec[k] = z
+                                    found.append(tuple(vec))
+                        if descend:
+                            place(idx + 1, rs)
                         picks.pop()
                     for t, c in enumerate(col):
                         sums[t] -= c * x
@@ -231,7 +294,20 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
         for idx, col in enumerate(cols):
             if not any((c * root) % mod if mod else c for c, mod in zip(col, mods)):
                 found.append(tuple(root if k == idx else 0 for k in range(n)))
-    place(0, m)
+    zero = tuple(sums)
+    for t in range(2, width + 1):
+        for cells in table(t, m).get(zero, ()):
+            if cells[0][1] > 0:
+                vec = [0] * n
+                for k, z in cells:
+                    vec[k] = z
+                found.append(tuple(vec))
+    if m > width:
+        place(0, m)
+    # place and table call themselves, so each closure holds its own function:
+    # drop those names, so that what the walk built is freed on return and
+    # not left to the cyclic collector
+    del place, table
     found.sort()
     return MinimalVectorSet(m, tuple(found))
 

@@ -173,9 +173,8 @@ ORACLE_SPECS = (
 MEASURED_NEIGHBOR_DEVIATION = Fraction(898, 41)
 
 
-def oracle_bound(rank: int) -> int:
-    """The norm to which criterion 8 compares the oracle with enumeration."""
-    return 10 if rank <= 12 else 8
+# the norm to which criterion 8 compares the oracle with enumeration
+ORACLE_BOUND = 10
 
 
 def test_criterion_8_property_suites():
@@ -184,9 +183,8 @@ def test_criterion_8_property_suites():
             spec = parse_family(spec_text, strict=False)
             lat = families.build_family(spec)
             assert lat.rank <= 16, spec_text
-            bound = oracle_bound(lat.rank)
-            oracle = lattice.enumerate_by_basis_oracle(lat, bound)
-            for m in range(1, bound + 1):
+            oracle = lattice.enumerate_by_basis_oracle(lat, ORACLE_BOUND)
+            for m in range(1, ORACLE_BOUND + 1):
                 assert oracle[m] == lattice.vectors_of_norm(lat, m), (spec_text, m)
 
         for d in (20, 30, 40):

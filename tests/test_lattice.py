@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import identity, support_sign_reference
-from test_acceptance import ORACLE_SPECS, oracle_bound
+from test_acceptance import ORACLE_BOUND, ORACLE_SPECS
 
-from latlab import cli, families, intlinalg
+from latlab import cli, families, intlinalg, lattice
 from latlab.errors import ConstructionError
 from latlab.lattice import (
     ConstraintSystem,
@@ -394,11 +394,15 @@ def mixed_systems(draw):
 
 
 def _assert_three_way_agreement(lat, norms):
+    """The walk's vectors of each norm, checked against the reference walk
+    and the oracle."""
     oracle = enumerate_by_basis_oracle(lat, max(norms))
+    found = {}
     for m in norms:
-        mvs = vectors_of_norm(lat, m)
+        mvs = found[m] = vectors_of_norm(lat, m)
         assert mvs == support_sign_reference(lat, m), m
         assert mvs == oracle[m], m
+    return found
 
 
 @settings(max_examples=150, deadline=None)
@@ -409,6 +413,14 @@ def test_enumeration_matches_the_reference_walk_and_the_oracle_on_mixed_rows(cs)
     except ConstructionError:
         return
     _assert_three_way_agreement(lat, range(1, 9))
+
+
+def _zeroed(n, free, weights, modulus):
+    """Z^free inside Z^n: equality rows hold coordinates free..n-1 at zero,
+    and one congruence row weights the free ones."""
+    rows = [(tuple(int(k == i) for k in range(n)), 0) for i in range(free, n)]
+    rows.append((tuple(weights) + (0,) * (n - len(weights)), modulus))
+    return build(_cs(n, rows))
 
 
 def test_enumeration_edge_cases():
@@ -437,12 +449,70 @@ def test_enumeration_edge_cases():
     ]
     for lat, norms in cases:
         _assert_three_way_agreement(lat, norms)
+    # at n <= 2 (z1, z2 and the two one-row systems) norm 3 looks up three
+    # coordinates and has no placement to make; n = 3 keeps pairs throughout
+    assert all(lattice._lookup_width(n, 3) == 3 for n in (1, 2))
+    assert all(lattice._lookup_width(3, m) == 2 for m in range(1, 40))
+    # Z^6 and Z^4 held inside Z^13 and Z^14 by equality rows, under one
+    # congruence row, look up three coordinates at norms 7-11: (2, 1, 1) at
+    # remaining norm 6 below a placed +-1 at norm 7, and at the root (2, 2, 1)
+    # at norm 9, (3, 1, 1) at norm 11 and the pair (3, 1) at norm 10, each
+    # with only its lowest coordinate forced positive
+    z6, z4 = _zeroed(13, 6, range(1, 7), 7), _zeroed(14, 4, range(1, 5), 5)
+    found = {}
+    for lat, norms in ((z6, (7, 9, 10)), (z4, (11,))):
+        assert all(lattice._lookup_width(lat.ambient_dim, m) == 3 for m in norms)
+        found.update({(lat.ambient_dim, m): mvs
+                      for m, mvs in _assert_three_way_agreement(lat, norms).items()})
+    for key, pattern in (((13, 7), [1, 1, 1, 2]), ((13, 9), [1, 2, 2]), ((13, 10), [1, 3]),
+                         ((14, 11), [1, 1, 3])):
+        hits = [v for v in found[key].vectors if sorted(abs(x) for x in v if x) == pattern]
+        assert any(x < 0 for v in hits for x in v), key
+
+
+def test_the_lookup_width_takes_triples_only_where_they_pay():
+    # the rule sees n and m only; these calls take each path
+    for spec, m, width in (("LA:Z/13", 8, 3), ("Ld:12", 10, 3), ("Ld:15", 8, 3), ("Od:16", 8, 3),
+                           ("LA:Z/13", 6, 2), ("Craig:q=11,k=3", 8, 2), ("Ld:40", 4, 2),
+                           ("LA:Z/32", 4, 2), ("T:5", 4, 2), ("Ld:30", 4, 2)):
+        n = families.build_family(spec).ambient_dim
+        assert lattice._lookup_width(n, m) == width, (spec, m)
+    # norms up to 5 keep pairs from n = 3 on
+    assert all(lattice._lookup_width(n, m) == 2 for n in range(3, 300) for m in range(1, 6))
+
+
+@st.composite
+def wide_systems(draw):
+    """n = 12 or 13, where the walk looks up three coordinates at norms 7-9:
+    two equality rows of nonzero weights, and one or two congruence rows
+    modulo a prime with weights nonzero modulo it, so the lattice stays
+    small enough to enumerate."""
+    n = draw(st.integers(12, 13))
+    nonzero = st.integers(1, 3).flatmap(lambda a: st.sampled_from((a, -a)))
+    rows = [(draw(st.tuples(*[nonzero] * n)), 0) for _ in range(2)]
+    for _ in range(draw(st.integers(1, 2))):
+        q = draw(st.sampled_from((7, 11, 13)))
+        rows.append((draw(st.tuples(*[st.integers(1, q - 1)] * n)), q))
+    return _cs(n, rows)
+
+
+@settings(max_examples=6, deadline=None)
+@given(wide_systems())
+def test_enumeration_matches_the_oracle_where_the_walk_looks_up_triples(cs):
+    # the reference walk costs the most, so it checks the lowest such norm
+    lat = build(cs)
+    norms = [m for m in (7, 8, 9) if lattice._lookup_width(cs.ambient_dim, m) == 3]
+    assert norms
+    oracle = enumerate_by_basis_oracle(lat, max(norms))
+    for m in norms:
+        assert vectors_of_norm(lat, m) == oracle[m], m
+    assert oracle[norms[0]] == support_sign_reference(lat, norms[0])
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
     # the criterion-8 specs, to norm 10 at rank <= 9 and to norm 8 above;
-    # criterion 8 compares the oracle to norm 10 up to rank 12
+    # criterion 8 compares the oracle to norm 10 on all of them
     lat = families.build_family(families.parse_family(spec, strict=False))
     for m in range(1, (10 if lat.rank <= 9 else 8) + 1):
         assert vectors_of_norm(lat, m) == support_sign_reference(lat, m), m
@@ -451,43 +521,50 @@ def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_lattice.py --work prints, for the
     # perfbench analyze specs at norms 1-4 and the criterion-8 specs at norm
-    # 8, the vectors that vectors_of_norm finds and its walk nodes; then, for
-    # the perfbench oracle workload specs at bound 8 and the criterion-8
-    # specs at their bound, the vectors that enumerate_by_basis_oracle finds,
-    # its nodes and its leaves.  A walk node is one call of the function
-    # named place nested in lattice.py, an oracle node one call of descend
-    # and an oracle leaf one call of sign_canonical (once per vector
-    # reached), all counted here by a profile hook, so the counts need no
-    # hook inside the package
+    # 8, the vectors that vectors_of_norm finds, the width of its lookup, the
+    # tables it builds with their entries, and its walk nodes; then, for the
+    # perfbench oracle workload specs at bound 8 and the criterion-8 specs at
+    # bound 10, the vectors that enumerate_by_basis_oracle finds, its
+    # nodes and its leaves.  A walk node is one call of the function named
+    # place nested in lattice.py (a node that places a further coordinate;
+    # each placement's lookup is made in its parent's call), a table one
+    # value returned by the nested function named table, an oracle node one
+    # call of descend and an oracle leaf one call of sign_canonical (once per
+    # vector reached), all counted here by a profile hook, so the counts need
+    # no hook inside the package
     import sys
-
-    from latlab import lattice
 
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_lattice.py --work")
 
     def counted(call, *names):
         calls = dict.fromkeys(names, 0)
+        tables = {}  # (width, remaining norm) -> entries
 
         def count_calls(frame, event, arg):
             code = frame.f_code
-            if event == "call" and code.co_filename == lattice.__file__ and code.co_name in calls:
+            if code.co_filename != lattice.__file__:
+                return
+            if event == "call" and code.co_name in calls:
                 calls[code.co_name] += 1
+            elif event == "return" and code.co_name == "table":
+                tables[frame.f_locals["t"], frame.f_locals["r"]] = sum(map(len, arg.values()))
 
         sys.setprofile(count_calls)
         try:
             result = call()
         finally:
             sys.setprofile(None)
-        return result, calls
+        return result, calls, tables
 
     def walk_work(lat, m):
-        mvs, calls = counted(lambda: vectors_of_norm(lat, m), "place")
-        return {"found": mvs.count, "nodes": calls["place"]}
+        mvs, calls, tables = counted(lambda: vectors_of_norm(lat, m), "place")
+        return {"found": mvs.count, "width": lattice._lookup_width(lat.ambient_dim, m),
+                "tables": len(tables), "entries": sum(tables.values()), "nodes": calls["place"]}
 
     def oracle_work(lat, bound):
-        sets, calls = counted(lambda: enumerate_by_basis_oracle(lat, bound),
-                              "descend", "sign_canonical")
+        sets, calls, _ = counted(lambda: enumerate_by_basis_oracle(lat, bound),
+                                 "descend", "sign_canonical")
         return {"bound": bound, "found": sum(mvs.count for mvs in sets.values()),
                 "nodes": calls["descend"], "leaves": calls["sign_canonical"]}
 
@@ -498,22 +575,21 @@ if __name__ == "__main__":
                      "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
     for corpus, specs, norms in (("analyze", analyze_specs, range(1, 5)),
                                  ("criterion 8", ORACLE_SPECS, (8,))):
-        total = {"found": 0, "nodes": 0}
+        total = {"found": 0, "tables": 0, "entries": 0, "nodes": 0}
         for spec in specs:
             lat = lat_of(spec)
             work = {m: walk_work(lat, m) for m in norms}
             for w in work.values():
-                total["found"] += w["found"]
-                total["nodes"] += w["nodes"]
+                for key in total:
+                    total[key] += w[key]
             print(json.dumps({"corpus": corpus, "spec": spec, "norms": work}), flush=True)
         print(json.dumps({"corpus": corpus, "total": total}), flush=True)
-    for corpus, specs, bound_of in (("oracle workload", ORACLE_WORKLOAD_SPECS, lambda lat: 8),
-                                    ("criterion 8 oracle", ORACLE_SPECS,
-                                     lambda lat: oracle_bound(lat.rank))):
+    for corpus, specs, bound in (("oracle workload", ORACLE_WORKLOAD_SPECS, 8),
+                                 ("criterion 8 oracle", ORACLE_SPECS, ORACLE_BOUND)):
         total = {"found": 0, "nodes": 0, "leaves": 0}
         for spec in specs:
             lat = lat_of(spec)
-            work = oracle_work(lat, bound_of(lat))
+            work = oracle_work(lat, bound)
             for key in total:
                 total[key] += work[key]
             print(json.dumps({"corpus": corpus, "spec": spec, "oracle": work}), flush=True)
