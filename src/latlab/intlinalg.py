@@ -27,12 +27,19 @@ package is built on:
   comb(s + k - 1, k) columns, the cap itself,
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
-* ``char_poly`` - characteristic polynomials modulo the 61-bit prime of
-  the rank certificate, by Hessenberg reduction.
+* ``krylov_min_poly`` - minimal polynomials modulo the 61-bit prime of the
+  rank certificate of Krylov sequences u A^k b, by sparse products and
+  Berlekamp-Massey; each divides the characteristic polynomial mod p, and
+  ``MinVectorGraph.spectrum`` certifies its integer roots exactly,
+* ``char_poly`` - characteristic polynomials modulo the same prime, by
+  Hessenberg reduction; nothing in the package calls it any more, but the
+  tests check ``krylov_min_poly`` against it and the benchmark's tracer
+  wraps it.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from itertools import combinations_with_replacement, compress
 from math import prod
@@ -217,7 +224,7 @@ def bareiss_det(M) -> int:
 
 
 # the Mersenne prime 2**61 - 1, proved prime by the Lucas-Lehmer test in the
-# tests; the modulus of the rank certificate and of char_poly
+# tests; the modulus of the rank certificate, char_poly and krylov_min_poly
 _CERT_PRIME = (1 << 61) - 1
 
 
@@ -529,6 +536,78 @@ def char_poly(M) -> list[int]:
                 break
         polys.append([c % p for c in acc])
     return polys[-1][::-1]
+
+
+def krylov_min_poly(M, b=None, u=None) -> list[int]:
+    """Residues modulo _CERT_PRIME of the coefficients of the minimal
+    polynomial g of the sequence s_k = u A^k b, for A the square matrix M,
+    highest degree first (monic).
+
+    This is Wiedemann's method (Wiedemann 1986): the s_k come from sparse
+    products of A, whose rows are kept as their columns grouped by value,
+    with the Krylov vectors A^k b.  Berlekamp-Massey (Massey 1969) takes in
+    one term at a time and keeps g, the shortest recurrence of the terms so
+    far, of degree L.  b and u default to vectors drawn from a fixed
+    pseudo-random generator, never the all-ones vector that is an
+    eigenvector of every regular graph.
+
+    The minimal polynomial of the whole sequence has degree at most n, so
+    after 2n terms g is that polynomial, which divides the minimal
+    polynomial of b under A mod p, and with it det(t*I - M) mod p.  The
+    sequence stops earlier only when g(A) b = 0, checked from the stored
+    Krylov vectors after a term that g predicted.  Then the minimal
+    polynomial of b divides g, and as it generates the terms so far its
+    degree is at least L: it is g.  So is the polynomial of the 2n terms,
+    which divides it and generates the same terms.
+    """
+    n = len(M)
+    for row in M:
+        if len(row) != n:
+            raise ValueError("minimal polynomial needs a square matrix")
+    p = _CERT_PRIME
+    rng = random.Random(0)
+    if b is None:
+        b = [rng.randrange(p) for _ in range(n)]
+    if u is None:
+        u = [rng.randrange(p) for _ in range(n)]
+    parts = [(a, [[j for j, x in enumerate(row) if x == a] for row in M])
+             for a in sorted({x for row in M for x in row} - {0})]
+    vec = [x % p for x in b]
+    krylov, seq = [], []
+    # Berlekamp-Massey: C(x) is the connection polynomial, lowest degree first,
+    # of length L + 1, and B the one before the last change of L, whose
+    # discrepancy was last, shift terms ago
+    C, B, L, last, shift = [1], [1], 0, 1, 1
+    checked = False
+    for k in range(2 * n):
+        if k:
+            get = vec.__getitem__
+            w = [0] * n
+            for a, cols in parts:
+                w = [x + a * sum(map(get, c)) for x, c in zip(w, cols)]
+            vec = [x % p for x in w]
+        if k <= n:  # g(A) b needs A^k b for k <= L <= n only
+            krylov.append(vec)
+        seq.append(sum(map(mul, u, vec)) % p)
+        d = sum(map(mul, C, reversed(seq[k - L:]))) % p
+        if not d:
+            shift += 1
+            if not checked:
+                checked = True
+                if not any(sum(map(mul, C, col)) % p for col in zip(*krylov[L::-1])):
+                    break
+            continue
+        f = d * pow(last, -1, p) % p
+        new = C + [0] * (shift + len(B) - len(C))
+        for i, x in enumerate(B, shift):
+            new[i] = (new[i] - f * x) % p
+        if 2 * L <= k:
+            L, B, last, shift = k + 1 - L, C, d, 1
+        else:
+            shift += 1
+        C = new + [0] * (L + 1 - len(new))
+        checked = False
+    return C
 
 
 def format_matrix(M) -> str:

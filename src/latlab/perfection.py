@@ -6,7 +6,11 @@ computes that rank exactly, derives perfection defaults, k-th power rank
 series, the hyperplane-splitting sufficient condition, perfection threshold
 scans over excluded indices, neighbor-count statistics of shortest vectors,
 and scalar-product graphs (degree profiles, strongly regular parameters,
-certified exact spectra).  Every rank comes from ``intlinalg``.
+certified exact spectra).  Every rank comes from ``intlinalg``.  A spectrum
+is read off the minimal polynomial mod p of one Krylov sequence
+(``intlinalg.krylov_min_poly``), which an integral spectrum makes squarefree
+with integer roots, and it is proved by the exact product of A - lambda I
+over those roots (``MinVectorGraph.spectrum``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from . import families, intlinalg, lattice
 from .errors import SpecError
@@ -371,38 +375,96 @@ class MinVectorGraph:
         Every eigenvalue of the adjacency matrix A lies in [-D, D], D the
         Gershgorin bound (the largest absolute row sum), and the prime
         p = intlinalg._CERT_PRIME exceeds 2D, so these integers are distinct
-        mod p.  They are stripped, with multiplicity, from chi_A mod p, and
-        the exact product of A - lambda I over the distinct roots lambda
-        found is checked.  A is symmetric, so diagonalisable: the product
-        vanishes if and only if every eigenvalue is a lambda.  Then chi_A
-        splits over Z into the factors t - lambda, and by unique
-        factorisation in F_p[t] their multiplicities are those found mod p.
-        An integral spectrum splits chi_A mod p into its own eigenvalues, so
-        a factor left over, or a product that does not vanish, means None.
+        mod p.  A is symmetric, so diagonalisable, and its spectrum is
+        integral exactly when its minimal polynomial over Q is the product of
+        t - lambda over distinct integers lambda in [-D, D]; that product then
+        vanishes at A over Z, so the minimal polynomial mod p divides it and
+        is squarefree with roots among those lambda.
+
+        The minimal polynomial g of one Krylov sequence mod p divides it too
+        (intlinalg.krylov_min_poly).  Its integer roots in [-D, D] are
+        stripped, each at most once; a factor left over, which a repeated
+        root leaves as well, means None.  Then the exact product of A -
+        lambda I over the roots found is checked: zero proves that they are
+        all the eigenvalues.  A nonzero product P kills the eigenvectors of
+        the roots found, so a restart from a nonzero row of P, divided by its
+        content and projected on one coordinate nonzero mod p, gives a
+        sequence whose g is nonzero and, on an integral spectrum, has only
+        new roots: each round adds a root or proves None.
+
+        The multiplicities come from the traces of the partial products
+        P_k of A - lambda_i I over the first k roots found: tr P_k sums
+        m_lambda_j prod_(i<k) (lambda_j - lambda_i) over j >= k, a triangular
+        system whose first row, tr P_0 = n, makes them sum to n.
         """
-        coeffs = intlinalg.char_poly(self.adjacency)
-        bound = max((sum(abs(x) for x in row) for row in self.adjacency), default=0)
-        roots: dict[int, int] = {}
-        for cand in range(bound, -bound - 1, -1):
-            while len(coeffs) > 1:
-                quotient, remainder = _divide_linear(coeffs, cand)
-                if remainder:
-                    break
+        A = self.adjacency
+        n = self.order
+        p = intlinalg._CERT_PRIME
+        bound = max((sum(map(abs, row)) for row in A), default=0)
+        if 2 * bound >= p:
+            raise ArithmeticError("the Gershgorin bound needs a larger prime")
+        roots: list[int] = []
+        start = unit = None
+        while True:
+            found = _distinct_roots(intlinalg.krylov_min_poly(A, start, unit), bound, roots)
+            if found is None:
+                return None
+            roots += found
+            # each row of a partial product is one integer, its entries digits
+            # in base 2**b; for K factors they are at most max(1, (2D)^K) <
+            # 2**(b - 1) in absolute value, so a row is zero exactly when its
+            # integer is, and every entry can be read back
+            b = len(roots) * (2 * bound).bit_length() + 2
+            terms = [[(j, a) for j, a in enumerate(row) if a] for row in A]
+            P = [1 << (b * i) for i in range(n)]
+            traces = []
+            for lam in roots:
+                traces.append(sum(_digit(Pi, i, b) for i, Pi in enumerate(P)))
+                P = [sum(a * P[j] for j, a in term) - lam * Pi for term, Pi in zip(terms, P)]
+            row = next((Pi for Pi in P if Pi), None)
+            if row is None:
+                break
+            start = [_digit(row, j, b) for j in range(n)]
+            content = gcd(*start)
+            start = [x // content for x in start]
+            unit = [0] * n
+            unit[next(j for j, x in enumerate(start) if x % p)] = 1
+        spectrum: dict[int, int] = {}
+        for k in range(len(roots) - 1, -1, -1):
+            lam, below = roots[k], roots[:k]
+            rest = traces[k] - sum(m * prod(mu - x for x in below) for mu, m in spectrum.items())
+            m, r = divmod(rest, prod(lam - x for x in below))
+            if r or m <= 0:
+                raise ArithmeticError("the traces give no positive integral multiplicities")
+            spectrum[lam] = m
+        return dict(sorted(spectrum.items(), reverse=True))
+
+
+def _distinct_roots(coeffs, bound: int, known) -> list[int] | None:
+    """The integers in [-bound, bound] outside known that are roots of coeffs
+    (highest degree first) modulo intlinalg._CERT_PRIME, in decreasing order,
+    when coeffs is the product of t - root over them, else None."""
+    roots = []
+    for cand in range(bound, -bound - 1, -1):
+        if len(coeffs) == 1:
+            break
+        if cand not in known:
+            quotient, remainder = _divide_linear(coeffs, cand)
+            if not remainder:
                 coeffs = quotient
-                roots[cand] = roots.get(cand, 0) + 1
-        if len(coeffs) > 1:
-            return None
-        # each row of the product is one integer, its entries digits in base
-        # 2**b; for K factors they are at most (2D)^K < 2**(b - 1) in absolute
-        # value, so a row is zero exactly when its integer is
-        b = len(roots) * (2 * bound).bit_length() + 1
-        terms = [[(j, a) for j, a in enumerate(row) if a] for row in self.adjacency]
-        P = [1 << (b * i) for i in range(self.order)]
-        for lam in roots:
-            P = [sum(a * P[j] for j, a in term) - lam * Pi for term, Pi in zip(terms, P)]
-        if any(P):
-            return None
-        return roots
+                roots.append(cand)
+    return roots if len(coeffs) == 1 else None
+
+
+def _digit(x: int, i: int, b: int) -> int:
+    """Entry i of a row packed as the integer x, the sum of its entries
+    times 2**(b i), when every entry is less than 2**(b - 1) in absolute
+    value: rounding x / 2**(b i) to the nearest integer drops the entries
+    before it, and the entries after it are multiples of 2**b."""
+    if i:
+        x = ((x >> (b * i - 1)) + 1) >> 1
+    half = 1 << (b - 1)
+    return ((x + half) & ((half << 1) - 1)) - half
 
 
 def _divide_linear(coeffs, root: int) -> tuple[list[int], int]:

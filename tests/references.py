@@ -316,3 +316,35 @@ def spectrum_by_exact_roots(adjacency):
             coeffs = out[:-1]
             roots[cand] = roots.get(cand, 0) + 1
     return roots if len(coeffs) == 1 else None
+
+
+def sequence_min_poly(seq, p):
+    """Minimal polynomial modulo the prime p, monic and highest degree first,
+    of the terms seq: the monic g of least degree L with
+    sum_i g[i] seq[k + L - i] = 0 mod p for every k + L < len(seq).  For
+    L = 0, 1, ... the recurrence is a linear system in g[1:], solved by
+    Gaussian elimination mod p; the first consistent one gives g, at the
+    latest L = len(seq), which has no equation.  On 2L or more terms that g
+    is unique (Massey 1969)."""
+    for L in range(len(seq) + 1):
+        rows = [[seq[k + L - i] % p for i in range(1, L + 1)] + [-seq[k + L] % p]
+                for k in range(len(seq) - L)]
+        rank = 0
+        for c in range(L):
+            piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = pow(rows[rank][c], -1, p)
+            rows[rank] = [x * inv % p for x in rows[rank]]
+            for i, row in enumerate(rows):
+                if i != rank and row[c]:
+                    f = row[c]
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, rows[rank])]
+            rank += 1
+        if any(row[-1] for row in rows[rank:]):
+            continue
+        g = [0] * L
+        for row in rows[:rank]:
+            g[next(c for c in range(L) if row[c])] = row[-1]
+        return [1] + g

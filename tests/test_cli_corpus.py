@@ -10,7 +10,8 @@ scan-D outputs whose spectrum, srg or D is null or unresolved, the
 ``craig --method histogram`` pair counts over GF(25), GF(27) and GF(49)
 (k = 3, 2 and 2), the only histograms over fields with e > 1, the
 graphs whose characteristic polynomial has large or irrational-root
-coefficients, two analyses with large symmetric-square ranks, shortest
+coefficients, a larger integral and a larger irrational spectrum (120 and
+156 vertices), two analyses with large symmetric-square ranks, shortest
 vectors at the enumerator's edges (support 1, entries of 3), and builds
 over prime-power fields, multi-factor groups, the edges of the exclusion
 windows and construction failures, and the kernel lattices of ranks 31-63
@@ -81,7 +82,8 @@ _NULL_PATHS = (
 
 # characteristic polynomials with coefficients of more than 61 bits or
 # irrational roots, and coefficient bounds of 76 and 133 bits, just past the
-# primes 2^61 - 1 and 2^127 - 1
+# primes 2^61 - 1 and 2^127 - 1; then a larger integral spectrum (an SRG on
+# 120 vertices) and a larger irrational one (156 vertices)
 _CHAR_POLY = (
     ("graph", "LA:Z/9", "--norm", "4"),
     ("graph", "Ld:8"),
@@ -89,6 +91,8 @@ _CHAR_POLY = (
     ("graph", "Ld:7"),
     ("graph", "Craig:q=11,k=2", "--product", "2"),
     ("graph", "T:4"),
+    ("graph", "Mneg:F2^3"),
+    ("graph", "Craig:q=13,k=2"),
 )
 
 # Sym2 ranks over several thousand rows: the sparse modular eliminator's

@@ -14,6 +14,7 @@ from references import (
     faddeev_leverrier,
     gram_det_by_bareiss,
     identity,
+    sequence_min_poly,
 )
 
 from latlab import families, intlinalg, lattice, perfection
@@ -27,6 +28,7 @@ from latlab.intlinalg import (
     gram_matrix,
     hnf,
     kernel_basis,
+    krylov_min_poly,
     lll,
     mat_mul,
     rank,
@@ -584,6 +586,88 @@ def test_char_poly_of_a_large_diagonal():
     assert char_poly(M) == _residues(expected)
 
 
+def _divides(g, f):
+    """Whether the monic g divides f modulo _P, both highest degree first."""
+    f = list(f)
+    for i in range(len(f) - len(g) + 1):
+        c = f[i]
+        for j, x in enumerate(g):
+            f[i + j] = (f[i + j] - c * x) % _P
+    return not any(f)
+
+
+def _at(coeffs, M, b):
+    """coeffs(M) b modulo _P, by Horner's rule with dense products."""
+    v = [0] * len(M)
+    for c in coeffs:
+        v = [(sum(x * y for x, y in zip(row, v)) + c * z) % _P for row, z in zip(M, b)]
+    return v
+
+
+def _symmetric_01_of_size(n):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def fill(bits):
+        A = [[0] * n for _ in range(n)]
+        for (i, j), bit in zip(cells, bits):
+            A[i][j] = A[j][i] = int(bit)
+        return A
+
+    return st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)).map(fill)
+
+
+# symmetric 0/1 matrices, diagonal included, and small integer squares
+min_poly_matrix = st.integers(0, 9).flatmap(
+    lambda n: st.one_of(_symmetric_01_of_size(n), _square_of_size(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(min_poly_matrix, st.integers(0, 2**32))
+@example([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 0)  # nilpotent: g = t^3 or less
+@example([[1, 1], [1, 1]], 0)
+def test_krylov_min_poly_divides_the_characteristic_polynomial(M, seed):
+    n = len(M)
+    rng = random.Random(seed)
+    b = [rng.randrange(-9, 10) for _ in range(n)]
+    u = [rng.randrange(_P) for _ in range(n)]
+    g = krylov_min_poly(M, b, u)
+    assert g[0] == 1 and _divides(g, char_poly(M))
+    # a random 61-bit u loses nothing of b, but for odds of n / p
+    assert _at(g, M, b) == [0] * n
+    # the early stop gives the minimal polynomial of all 2n terms
+    seq, v = [], [x % _P for x in b]
+    for _ in range(2 * n):
+        seq.append(sum(x * y for x, y in zip(u, v)) % _P)
+        v = [sum(x * y for x, y in zip(row, v)) % _P for row in M]
+    assert g == sequence_min_poly(seq, _P)
+    # the default start vectors give, but for the same odds, the minimal
+    # polynomial of M itself
+    g = krylov_min_poly(M)
+    assert _divides(g, char_poly(M))
+    assert _residues(sum(poly_eval_matrix(g, M), [])) == [0] * (n * n)
+
+
+def test_krylov_min_poly_stops_once_g_annihilates_b():
+    # the 4-cube has the five eigenvalues 0, +-2, +-4; g of degree 5 is found
+    # from 10 terms, and the 11th, which g predicts, ends the sequence
+    # short of its 2n = 32 terms
+    class Counted(list):
+        terms = 0
+
+        def __iter__(self):  # the projection reads u once per term
+            Counted.terms += 1
+            return super().__iter__()
+
+    Q4 = [[int(bin(i ^ j).count("1") == 1) for j in range(16)] for i in range(16)]
+    rng = random.Random(1)
+    u = Counted(rng.randrange(_P) for _ in range(16))
+    g = krylov_min_poly(Q4, [1] + [0] * 15, u)
+    assert g == _residues([1, 0, -20, 0, 64, 0])  # t (t^2 - 4) (t^2 - 16)
+    assert Counted.terms == 11
+    with pytest.raises(ValueError):
+        krylov_min_poly([[1, 2, 3], [4, 5, 6]])
+
+
 def lucas_lehmer(e):
     """Whether 2**e - 1 is prime, for an odd prime e (Lucas-Lehmer test)."""
     m = (1 << e) - 1
@@ -830,12 +914,13 @@ if __name__ == "__main__":
     # pass on the ambient coordinates.  The work is counted here, around
     # the eliminator: the rows it read, the rows it reduced to zero, and
     # its entry updates, one per pivot-row entry that _subtract applies.
-    # It then runs every graph argv of the CLI corpus and prints, for each
-    # spectrum taken, the order n, the Gershgorin bound, the distinct roots
-    # stripped from the characteristic polynomial mod p, whether the exact
-    # certificate ran (it runs when those roots split the polynomial),
-    # whether the spectrum is integral, and the CPU seconds of char_poly and
-    # of the whole spectrum, char_poly included.  Last, for the
+    # It then runs every graph argv of the CLI corpus, and graph LA:Z/16,
+    # and prints, for each spectrum taken, the order n, the Gershgorin bound,
+    # the terms of each Krylov sequence (the first, then one per restart),
+    # the distinct roots stripped from their minimal polynomials mod p,
+    # whether the exact product ran (it runs when those roots split every
+    # minimal polynomial), whether the spectrum is integral, and the CPU
+    # seconds of the spectrum.  Last, for the
     # three largest kernel lattices the benchmark builds, it prints n, the
     # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
     # nonzeros, and the least CPU seconds of three runs of the kernel and of
@@ -901,20 +986,32 @@ if __name__ == "__main__":
                       "cpu_s": round(end - mid, 3)},
         }), flush=True)
 
-    def char_poly_work(M, char_poly=intlinalg.char_poly):
-        start = time.process_time()
-        coeffs = char_poly(M)
-        char_poly_cpu.append(time.process_time() - start)
-        return coeffs
+    class Counted(list):
+        """A projection vector that counts the terms: krylov_min_poly reads u
+        once per term."""
+        reads = 0
 
-    def divide_work(coeffs, root, divide=perfection._divide_linear):
-        quotient, remainder = divide(coeffs, root)
-        if not remainder:
-            stripped.append(root)
-        return quotient, remainder
+        def __iter__(self):
+            self.reads += 1
+            return super().__iter__()
+
+    def krylov_work(M, b=None, u=None, krylov_min_poly=intlinalg.krylov_min_poly):
+        if b is None:
+            rng = random.Random(0)  # the draws of krylov_min_poly's defaults
+            b = [rng.randrange(_P) for _ in M]
+            u = [rng.randrange(_P) for _ in M]
+        u = Counted(u)
+        g = krylov_min_poly(M, b, u)
+        terms.append(u.reads)
+        return g
+
+    def roots_work(coeffs, bound, known, distinct_roots=perfection._distinct_roots):
+        found = distinct_roots(coeffs, bound, known)
+        stripped.append(found)
+        return found
 
     def spectrum_work(graph, spectrum=perfection.MinVectorGraph.spectrum):
-        char_poly_cpu.clear()
+        terms.clear()
         stripped.clear()
         start = time.process_time()
         result = spectrum(graph)
@@ -922,22 +1019,24 @@ if __name__ == "__main__":
         spectra.append({
             "argv": " ".join(argv), "n": graph.order,
             "gershgorin": max((sum(map(abs, row)) for row in graph.adjacency), default=0),
-            "roots": sorted(set(stripped), reverse=True),
-            "certificate": len(stripped) == graph.order, "integral": result is not None,
-            "char_poly_cpu_s": round(sum(char_poly_cpu), 4), "spectrum_cpu_s": round(cpu, 4),
+            "krylov_terms": list(terms), "restarts": len(terms) - 1,
+            "roots": sorted(set().union(*(r for r in stripped if r)), reverse=True),
+            "product_ran": any(r is not None for r in stripped),
+            "integral": result is not None,
+            "spectrum_cpu_s": round(cpu, 4),
         })
         return result
 
-    char_poly_cpu, stripped, seen = [], [], set()
-    for argv in corpus_argvs():
+    terms, stripped, seen = [], [], set()
+    for argv in [*corpus_argvs(), ["graph", "LA:Z/16"]]:
         if argv[0] == "--format":
             argv = argv[4:]  # the README entries repeat per format and --jobs
         if argv[0] != "graph" or tuple(argv) in seen:
             continue
         seen.add(tuple(argv))
         spectra = []
-        with (mock.patch.object(intlinalg, "char_poly", char_poly_work),
-              mock.patch.object(perfection, "_divide_linear", divide_work),
+        with (mock.patch.object(intlinalg, "krylov_min_poly", krylov_work),
+              mock.patch.object(perfection, "_distinct_roots", roots_work),
               mock.patch.object(perfection.MinVectorGraph, "spectrum", spectrum_work),
               contextlib.redirect_stdout(io.StringIO()),
               contextlib.redirect_stderr(io.StringIO())):

@@ -4,7 +4,7 @@ from math import comb, isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import (
     bareiss_rank,
@@ -404,19 +404,85 @@ def test_integral_spectra_match_the_exact_roots(graph):
     assert spectrum == spectrum_by_exact_roots(graph.adjacency)
 
 
+def _from_all_ones(starts):
+    """krylov_min_poly started from the all-ones vector, an eigenvector of
+    every regular graph, in place of its default start; it records each
+    start it is given."""
+    krylov_min_poly = intlinalg.krylov_min_poly
+
+    def call(M, b=None, u=None):
+        starts.append(b)
+        return krylov_min_poly(M, [1] * len(M) if b is None else b, u)
+
+    return call
+
+
 def test_spectrum_is_certified_where_the_polynomial_splits_mod_p():
     # mod 5 the 5-cycle's characteristic polynomial t^5 - 5t^3 + 5t - 2 is
     # t^5 + 3 = (t - 2)^5, yet its eigenvalues 2 and (-1 +- sqrt 5)/2 are not
-    # all integers: the exact product A - 2I does not vanish
+    # all integers.  The minimal polynomial of the default start repeats the
+    # root 2; from the all-ones start, an eigenvector for 2, the exact
+    # product A - 2I does not vanish, and the restart from it finds 2 again
     c5 = _circulant(5, (1,))
+    starts = []
     with mock.patch.object(intlinalg, "_CERT_PRIME", 5):
         assert intlinalg.char_poly(c5.adjacency) == [1, 0, 0, 0, 0, 3]
         assert c5.spectrum() is None
+        with mock.patch.object(intlinalg, "krylov_min_poly", _from_all_ones(starts)):
+            assert c5.spectrum() is None
+    assert len(starts) == 2
     # K4's (t - 3)(t + 1)^3 splits mod 11 into the same roots, and
     # (A - 3I)(A + I) = 0
     k4 = _circulant(4, (1, 2))
     with mock.patch.object(intlinalg, "_CERT_PRIME", 11):
         assert k4.spectrum() == {3: 1, -1: 3}
+
+
+def _gershgorin(graph):
+    return max((sum(map(abs, row)) for row in graph.adjacency), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices, st.sampled_from([5, 7, 11, 13]))
+@example(_circulant(5, (1,)), 5)
+@example(_PETERSEN, 7)
+def test_spectrum_matches_the_exact_roots_under_small_primes(graph, p):
+    # a prime just above 2D: the roots of g mod p may be eigenvalues mod p
+    # only, and the start vector may miss eigenvalues, so the exact product
+    # and the restarts decide
+    assume(2 * _gershgorin(graph) < p)
+    with mock.patch.object(intlinalg, "_CERT_PRIME", p):
+        assert graph.spectrum() == spectrum_by_exact_roots(graph.adjacency)
+
+
+def test_spectrum_needs_a_prime_above_twice_the_gershgorin_bound():
+    k4 = _circulant(4, (1, 2))
+    with mock.patch.object(intlinalg, "_CERT_PRIME", 5), pytest.raises(ArithmeticError):
+        k4.spectrum()
+
+
+def test_spectrum_raises_on_a_multiplicity_that_is_not_positive():
+    # every root of a true g is an eigenvalue; a g with the extra root 0
+    # still makes the product over its roots vanish at K4, and the traces
+    # then give 0 its multiplicity 0
+    k4 = _circulant(4, (1, 2))
+    wrong = [c % intlinalg._CERT_PRIME for c in (1, -2, -3, 0)]  # (t - 3)(t + 1) t
+    with (mock.patch.object(intlinalg, "krylov_min_poly", lambda M, b=None, u=None: wrong),
+          pytest.raises(ArithmeticError)):
+        k4.spectrum()
+
+
+@pytest.mark.parametrize("graph", [
+    _PETERSEN, _hypercube(3), _complete_bipartite(3, 3), _disjoint_union(_PETERSEN, _PETERSEN),
+], ids=["Petersen", "Q3", "K33", "Petersen+Petersen"])
+def test_spectrum_restarts_from_the_exact_product(graph):
+    # started from the all-ones vector, the sequence finds the degree k alone;
+    # the product A - kI does not vanish, and the restarts from its rows find
+    # the other eigenvalues
+    starts = []
+    with mock.patch.object(intlinalg, "krylov_min_poly", _from_all_ones(starts)):
+        assert graph.spectrum() == spectrum_by_exact_roots(graph.adjacency)
+    assert starts[0] is None and len(starts) > 1
 
 
 def test_schlafli_graph():
