@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, tee
 from math import prod
 from operator import mul
 
@@ -290,7 +290,8 @@ def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
 
 def _basis_columns(rows, cap: int) -> list[int]:
     """Pivot columns of a basis of the row space over Q of sparse
-    {column: value} rows whose rank is at most cap; their number is the rank.
+    {column: value} rows, any iterable of them, whose rank is at most cap;
+    their number is the rank.
 
     The rank modulo a prime never exceeds the rank over Q, which never
     exceeds the cap, so one reduced row-echelon elimination modulo a fixed
@@ -302,10 +303,12 @@ def _basis_columns(rows, cap: int) -> list[int]:
     (invertible modulo the prime), or the HNF rows (triangular with a
     nonzero diagonal).
     """
+    rows, kept = tee(rows)
     cols = _pivot_columns_mod_p(rows, cap)
     if len(cols) == cap:
         return cols
-    return [min(row) for row in _hnf_rows(rows)]
+    # the modular pass stops early only at the cap, so it has read every row
+    return [min(row) for row in _hnf_rows(kept)]
 
 
 def certified_rank(rows, cap: int) -> int:
@@ -324,8 +327,11 @@ def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     """
     # shortest-vector lists are sorted with the first nonzero entry positive,
     # so the vectors that use coordinate 0 come last: read last-first, the
-    # pass meets every coordinate early and reaches the cap in fewer rows
-    cols = set(_basis_columns(sym_power_rows(vectors[::-1], 1), cap))
+    # pass meets every coordinate early and reaches the cap in fewer rows.
+    # The rows are the degree-1 flattenings (sym_power_rows(vectors, 1)),
+    # built only as the pass reads them
+    rows = ({i: x for i, x in enumerate(v) if x} for v in reversed(vectors))
+    cols = set(_basis_columns(rows, cap))
     keep = [c in cols for c in range(len(vectors[0]))]
     return len(cols), [tuple(compress(v, keep)) for v in vectors]
 

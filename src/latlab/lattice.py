@@ -27,13 +27,19 @@ independent ways:
   and ``Lattice.basis`` stays the canonical HNF basis.
 
 The two must agree norm by norm; the test suite leans on that equivalence.
+``vectors_of_norm`` first checks m against the lattice's norm
+N = gcd(G_ii, 2 G_ij) (``Lattice.norm_ideal``): with x = sum c_i b_i,
+|x|^2 = sum c_i^2 G_ii + 2 sum_(i<j) c_i c_j G_ij is a multiple of N, so a
+norm that N does not divide has no vectors and is answered without a walk.
+The oracle has no such check and searches every norm, so there the two
+compare a search with a proof.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from . import intlinalg
 from .errors import ConstructionError
@@ -81,6 +87,17 @@ class Lattice:
     @property
     def ambient_dim(self) -> int:
         return self.constraints.ambient_dim
+
+    @property
+    def norm_ideal(self) -> int:
+        """N = gcd of the Gram matrix's diagonal and of twice its entries,
+        the norm of the lattice (Conway & Sloane, SPLAG, ch. 2): the positive
+        generator of the ideal of Z that its norms generate.  For
+        x = sum c_i b_i, |x|^2 = sum c_i^2 G_ii + 2 sum_(i<j) c_i c_j G_ij
+        is a multiple of N, and the norms of b_i and b_i + b_j give G_ii and
+        G_ii + G_jj + 2 G_ij back."""
+        G = self.gram
+        return gcd(*(row[i] for i, row in enumerate(G)), *(2 * g for row in G for g in row))
 
 
 def build(cs: ConstraintSystem) -> Lattice:
@@ -190,9 +207,16 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     the placement of its (s - t)-th coordinate, so exactly once; supports 1
     to t are found at the root, support 1 directly and the others by
     lookup, each with its lowest coordinate positive.
+
+    Every norm of the lattice is a multiple of its norm ideal's generator N
+    (Lattice.norm_ideal: each term of sum c_i^2 G_ii + 2 sum_(i<j) c_i c_j G_ij
+    is), so a norm m with N not dividing m has no vectors, and the walk is
+    not run.
     """
     if m < 1:
         raise ValueError("norm must be positive")
+    if m % lat.norm_ideal:
+        return MinimalVectorSet(m, ())
     cs = lat.constraints
     n = cs.ambient_dim
     width = _lookup_width(n, m)

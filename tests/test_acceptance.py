@@ -186,6 +186,9 @@ def test_criterion_8_property_suites():
             oracle = lattice.enumerate_by_basis_oracle(lat, ORACLE_BOUND)
             for m in range(1, ORACLE_BOUND + 1):
                 assert oracle[m] == lattice.vectors_of_norm(lat, m), (spec_text, m)
+                # vectors_of_norm settles a norm off the norm ideal from the
+                # Gram matrix, so there the search checks the proof
+                assert not (m % lat.norm_ideal and oracle[m].vectors), (spec_text, m)
 
         for d in (20, 30, 40):
             lat = families.build_family(FamilySpec("Ld", d=d))

@@ -433,6 +433,24 @@ def test_span_coordinates_below_the_modular_cap(vecs, slack):
     assert perfection.sym_square_rank(vecs, s + slack) == squares
 
 
+@settings(max_examples=200, deadline=None)
+@given(vector_sets(), st.integers(0, 2))
+@example([(_P, 0), (0, 1)], 0)  # span 2, one pivot modulo the prime: the HNF runs
+@example([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 1)  # span 1 below the cap 2
+def test_span_coordinates_match_the_rows_built_at_once(vecs, slack):
+    # span_coordinates builds each degree-1 row as the modular pass reads
+    # it; the HNF fallback must still see every row, so the columns are
+    # those of the flattening built whole and handed to both passes
+    cap = bareiss_rank(vecs) + slack
+    rows = sym_power_rows(vecs[::-1], 1)
+    cols = intlinalg._pivot_columns_mod_p(rows, cap)
+    if len(cols) < cap:
+        cols = [min(row) for row in intlinalg._hnf_rows(rows)]
+    span, coords = intlinalg.span_coordinates(vecs, cap)
+    assert span == len(cols)
+    assert coords == [tuple(x for c, x in enumerate(v) if c in cols) for v in vecs]
+
+
 def test_rank_examples():
     assert rank(identity(4)) == 4
     assert rank([[1, 2], [2, 4]]) == 1

@@ -241,10 +241,35 @@ def test_oracle_reaches_each_sign_pair_once():
 
 
 def test_even_families_have_even_norms():
+    # vectors_of_norm answers these norms from the norm ideal alone; the
+    # reference walk has no such guard and must find nothing there either
     for spec in ("Ld:8", "Od:8", "Md:8", "LA:Z/8", "Mneg:Z/12", "Craig:q=7,k=2"):
         lat = families.build_family(spec)
+        assert lat.norm_ideal % 2 == 0, spec
         for m in (1, 3, 5, 7):
             assert vectors_of_norm(lat, m).count == 0, (spec, m)
+            assert support_sign_reference(lat, m).count == 0, (spec, m)
+
+
+def test_norm_ideal_examples():
+    # T:3 is odd; Mneg:F2^3 lies in 2Z^8; the least norm 14 of the Sidon
+    # lattice (rank 2) generates its ideal
+    for spec, N in (("T:3", 1), ("Ld:8", 2), ("Mneg:F2^3", 4), ("Sidon:Z/7:set=0,1,3", 14)):
+        assert families.build_family(families.parse_family(spec, strict=False)).norm_ideal == N
+    # the plane 3x + 3y + z = 0 has the HNF basis (1, 0, -3), (0, 1, -3) of
+    # norm 10, but b_1 - b_2 = (1, -1, 0) has norm 2: N needs the 2 G_12
+    plane = build(_cs(3, [((3, 3, 1), 0)]))
+    assert plane.gram == ((10, 9), (9, 10)) and plane.norm_ideal == 2
+    assert vectors_of_norm(plane, 2).vectors == ((1, -1, 0),)
+
+
+def test_the_walk_runs_at_odd_norms_of_an_odd_lattice():
+    lat = families.build_family("T:3")
+    assert lat.norm_ideal == 1
+    for m, count in ((3, 28), (7, 288)):
+        mvs = vectors_of_norm(lat, m)
+        assert mvs.count == count
+        assert mvs == support_sign_reference(lat, m)
 
 
 def test_sidon_property_ops():
@@ -415,6 +440,39 @@ def test_enumeration_matches_the_reference_walk_and_the_oracle_on_mixed_rows(cs)
     _assert_three_way_agreement(lat, range(1, 9))
 
 
+@st.composite
+def even_systems(draw):
+    """(cs, step): a constraint_systems or mixed_systems draw plus the
+    congruence row (1, ..., 1) mod 2, so every norm is even (step 2), or
+    plus a row mod 2 on every coordinate, so the lattice lies in 2Z^n and
+    every norm is a multiple of 4 (step 4)."""
+    cs = draw(st.one_of(constraint_systems(), mixed_systems()))
+    n = cs.ambient_dim
+    if draw(st.booleans()):
+        return _cs(n, cs.rows + (((1,) * n, 2),)), 2
+    return _cs(n, cs.rows + tuple((tuple(int(k == i) for k in range(n)), 2) for i in range(n))), 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_systems())
+def test_random_even_lattices_match_the_oracle_and_skip_only_empty_norms(system):
+    # the norms off the ideal are settled without a walk, so the reference
+    # walk checks them
+    cs, step = system
+    try:
+        lat = build(cs)
+    except ConstructionError:
+        return
+    N = lat.norm_ideal
+    assert N % step == 0
+    oracle = enumerate_by_basis_oracle(lat, 8)
+    for m in range(1, 9):
+        mvs = vectors_of_norm(lat, m)
+        assert mvs == oracle[m], m
+        if m % N:
+            assert not mvs.vectors and support_sign_reference(lat, m) == mvs, m
+
+
 def _zeroed(n, free, weights, modulus):
     """Z^free inside Z^n: equality rows hold coordinates free..n-1 at zero,
     and one congruence row weights the free ones."""
@@ -512,26 +570,37 @@ def test_enumeration_matches_the_oracle_where_the_walk_looks_up_triples(cs):
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
     # the criterion-8 specs, to norm 10 at rank <= 9 and to norm 8 above;
-    # criterion 8 compares the oracle to norm 10 on all of them
+    # criterion 8 compares the oracle to norm 10 on all of them.  At the
+    # norms off the norm ideal vectors_of_norm runs no walk, so there the
+    # reference walk must find nothing; above norm 8 it checks them up to
+    # rank 12 (norm 9 costs it 2-9 s a spec at rank 13-16, left to
+    # criterion 8's oracle)
     lat = families.build_family(families.parse_family(spec, strict=False))
-    for m in range(1, (10 if lat.rank <= 9 else 8) + 1):
+    top = 10 if lat.rank <= 9 else 8
+    for m in range(1, top + 1):
         assert vectors_of_norm(lat, m) == support_sign_reference(lat, m), m
+    if lat.rank <= 12:
+        for m in range(top + 1, ORACLE_BOUND + 1):
+            if m % lat.norm_ideal:
+                assert support_sign_reference(lat, m).count == 0, m
 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_lattice.py --work prints, for the
-    # perfbench analyze specs at norms 1-4 and the criterion-8 specs at norm
-    # 8, the vectors that vectors_of_norm finds, the width of its lookup, the
-    # tables it builds with their entries, and its walk nodes; then, for the
-    # perfbench oracle workload specs at bound 8 and the criterion-8 specs at
-    # bound 10, the vectors that enumerate_by_basis_oracle finds, its
-    # nodes and its leaves.  A walk node is one call of the function named
-    # place nested in lattice.py (a node that places a further coordinate;
-    # each placement's lookup is made in its parent's call), a table one
-    # value returned by the nested function named table, an oracle node one
-    # call of descend and an oracle leaf one call of sign_canonical (once per
-    # vector reached), all counted here by a profile hook, so the counts need
-    # no hook inside the package
+    # perfbench analyze specs at norms 1-4, the perfbench oracle workload
+    # specs at norms 1-8 and the criterion-8 specs at norms 1-10, each spec's
+    # norm ideal N and, per norm, whether N settles it (N does not divide
+    # it: no walk, no table), the vectors that vectors_of_norm finds, the
+    # width of its lookup, the tables it builds with their entries, and its
+    # walk nodes; then, for the perfbench oracle workload specs at bound 8
+    # and the criterion-8 specs at bound 10, the vectors that
+    # enumerate_by_basis_oracle finds, its nodes and its leaves.  A walk node
+    # is one call of the function named place nested in lattice.py (a node
+    # that places a further coordinate; each placement's lookup is made in
+    # its parent's call), a table one value returned by the nested function
+    # named table, an oracle node one call of descend and an oracle leaf one
+    # call of sign_canonical (once per vector reached), all counted here by a
+    # profile hook, so the counts need no hook inside the package
     import sys
 
     if sys.argv[1:] != ["--work"]:
@@ -559,7 +628,9 @@ if __name__ == "__main__":
 
     def walk_work(lat, m):
         mvs, calls, tables = counted(lambda: vectors_of_norm(lat, m), "place")
-        return {"found": mvs.count, "width": lattice._lookup_width(lat.ambient_dim, m),
+        settled = m % lat.norm_ideal != 0
+        return {"settled_by_norm_ideal": settled, "found": mvs.count,
+                "width": None if settled else lattice._lookup_width(lat.ambient_dim, m),
                 "tables": len(tables), "entries": sum(tables.values()), "nodes": calls["place"]}
 
     def oracle_work(lat, bound):
@@ -574,15 +645,17 @@ if __name__ == "__main__":
     analyze_specs = ("Ld:26", "LA:Z/24", "Od:20", "Md:20", "Mneg:Z/30", "T:4",
                      "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2")
     for corpus, specs, norms in (("analyze", analyze_specs, range(1, 5)),
-                                 ("criterion 8", ORACLE_SPECS, (8,))):
-        total = {"found": 0, "tables": 0, "entries": 0, "nodes": 0}
+                                 ("oracle workload", ORACLE_WORKLOAD_SPECS, range(1, 9)),
+                                 ("criterion 8", ORACLE_SPECS, range(1, ORACLE_BOUND + 1))):
+        total = {"settled_by_norm_ideal": 0, "found": 0, "tables": 0, "entries": 0, "nodes": 0}
         for spec in specs:
             lat = lat_of(spec)
             work = {m: walk_work(lat, m) for m in norms}
             for w in work.values():
                 for key in total:
                     total[key] += w[key]
-            print(json.dumps({"corpus": corpus, "spec": spec, "norms": work}), flush=True)
+            print(json.dumps({"corpus": corpus, "spec": spec, "norm_ideal": lat.norm_ideal,
+                              "norms": work}), flush=True)
         print(json.dumps({"corpus": corpus, "total": total}), flush=True)
     for corpus, specs, bound in (("oracle workload", ORACLE_WORKLOAD_SPECS, 8),
                                  ("criterion 8 oracle", ORACLE_SPECS, ORACLE_BOUND)):
