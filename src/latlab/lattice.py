@@ -10,7 +10,9 @@ independent ways:
   finds the last t coordinates by one lookup in a table keyed by what they
   add to every row sum, so congruence rows prune there as well.  The width
   t is 2, or 3 where the walk level that the triple tables save costs more
-  than the tables (``_lookup_width``, from n and the norm alone);
+  than the tables (``_lookup_width``, from n and the norm alone).  One join
+  builds every table, from the single placements of width 1 up, and the
+  vectors of support 1 to t are read at the root from the tables at key 0;
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
   coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
   integers throughout.  With the basis's integral Gram-Schmidt data d_i and
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 
 from . import intlinalg
@@ -88,7 +91,7 @@ class Lattice:
     def ambient_dim(self) -> int:
         return self.constraints.ambient_dim
 
-    @property
+    @cached_property
     def norm_ideal(self) -> int:
         """N = gcd of the Gram matrix's diagonal and of twice its entries,
         the norm of the lattice (Conway & Sloane, SPLAG, ch. 2): the positive
@@ -200,13 +203,15 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     (-sums, -sums mod q).  The table from that key to the (coordinate,
     value) cells of t nonzero values with squares summing to r, ordered by
     their lowest coordinate, is built the first time the walk needs r and
-    lives for this call.  A triple table joins each coordinate k and value z
-    with the entries of the pair table of r - z^2 above k.  The walk skips
-    the lookup where the table is empty, and a placement that can neither
-    look up nor place again.  A vector with support s > t is found only at
-    the placement of its (s - t)-th coordinate, so exactly once; supports 1
-    to t are found at the root, support 1 directly and the others by
-    lookup, each with its lowest coordinate positive.
+    lives for this call.  One join builds them all: the table of width t
+    and norm r joins each coordinate k and value z with the entries above k
+    of the table of width t - 1 and norm r - z^2, from the tables of width 1
+    of the single placements +-sqrt(r), keyed by column times value.  The
+    walk skips the lookup where the table is empty, and a placement that can
+    neither look up nor place again.  A vector with support s > t is found
+    only at the placement of its (s - t)-th coordinate, so exactly once;
+    supports 1 to t are found at the root, by lookup at key 0 in the tables
+    of norm m, each with its lowest coordinate positive.
 
     Every norm of the lattice is a multiple of its norm ideal's generator N
     (Lattice.norm_ideal: each term of sum c_i^2 G_ii + 2 sum_(i<j) c_i c_j G_ij
@@ -239,37 +244,35 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
         tab = tables.get((t, r))
         if tab is None:
             tab = tables[t, r] = {}
-            if t == 2:
-                values = []
-                for a in range(1, isqrt(r - 1) + 1):
-                    b = isqrt(r - a * a)
-                    if b * b == r - a * a:
-                        values += [(a, b), (a, -b), (-a, b), (-a, -b)]
-                # one (coordinate, value) cell per coordinate and value, shared
-                cells = {y: [(j, y) for j in range(n)] for y in {y for _, y in values}}
-                for i, ci in enumerate(cols):
-                    for x, y in values:
-                        cx, cy = cells[x][i], cells[y]
-                        for j in range(i + 1, n):
-                            key = tuple([(u * x + v * y) % mod if mod else u * x + v * y
-                                         for u, v, mod in zip(ci, cols[j], mods)])
-                            tab.setdefault(key, []).append((cx, cy[j]))
+            if t == 1:
+                a = isqrt(r)
+                values = (a, -a) if a * a == r else ()
+                for k, col in enumerate(cols):
+                    for z in values:
+                        key = tuple([u * z % mod if mod else u * z for u, mod in zip(col, mods)])
+                        tab.setdefault(key, []).append(((k, z),))
             else:
-                # each pair table's keys by falling top coordinate, so those
-                # with hits above k come first; the join appends in increasing k
-                joins = [(a, sorted(table(2, r - a * a).items(), key=lambda kv: -kv[1][-1][0][0]))
-                         for a in range(1, isqrt(r - 2) + 1)]
+                # the nonempty tables of width t - 1, keys by falling top coordinate
+                # so that those with hits above k come first; appends run in increasing k
+                joins = [(a, sorted(sub.items(), key=lambda kv: -kv[1][-1][0][0]))
+                         for a in range(1, isqrt(r - t + 1) + 1)
+                         if (sub := table(t - 1, r - a * a))]
                 for k, col in enumerate(cols):
                     for a, keyed in joins:
+                        heads = [(((k, z),), [u * z for u in col]) for z in (a, -a)]
                         for key, hits in keyed:
                             if hits[-1][0][0] <= k:
                                 break
-                            above = hits[bisect_left(hits, ((k + 1,),)):]
-                            for z in (a, -a):
-                                head = ((k, z),)
-                                key3 = tuple([(u * z + v) % mod if mod else u * z + v
-                                              for u, v, mod in zip(col, key, mods)])
-                                tab.setdefault(key3, []).extend([head + cells for cells in above])
+                            if hits[0][0][0] <= k:
+                                hits = hits[bisect_left(hits, ((k + 1,),)):]
+                            for head, zcol in heads:
+                                key_t = tuple([(u + v) % mod if mod else u + v
+                                               for u, v, mod in zip(zcol, key, mods)])
+                                into = tab.setdefault(key_t, [])
+                                if len(hits) == 1:  # one hit, as most keys hold, needs no list
+                                    into.append(head + hits[0])
+                                else:
+                                    into.extend([head + cells for cells in hits])
         return tab
 
     found: list[tuple[int, ...]] = []
@@ -313,13 +316,8 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
                     for t, c in enumerate(col):
                         sums[t] -= c * x
 
-    root = isqrt(m)
-    if root * root == m:
-        for idx, col in enumerate(cols):
-            if not any((c * root) % mod if mod else c for c, mod in zip(col, mods)):
-                found.append(tuple(root if k == idx else 0 for k in range(n)))
     zero = tuple(sums)
-    for t in range(2, width + 1):
+    for t in range(1, width + 1):
         for cells in table(t, m).get(zero, ()):
             if cells[0][1] > 0:
                 vec = [0] * n

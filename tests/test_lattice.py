@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import count
@@ -261,6 +262,17 @@ def test_norm_ideal_examples():
     plane = build(_cs(3, [((3, 3, 1), 0)]))
     assert plane.gram == ((10, 9), (9, 10)) and plane.norm_ideal == 2
     assert vectors_of_norm(plane, 2).vectors == ((1, -1, 0),)
+
+
+def test_norm_ideal_is_kept_outside_equality_hashing_and_pickling():
+    # computed on first read and kept in the instance dict: a lattice that
+    # has read it still equals, hashes and pickles like one that has not
+    lat, fresh = families.build_family("Ld:8"), families.build_family("Ld:8")
+    assert "norm_ideal" not in vars(lat)
+    assert lat.norm_ideal == 2 and vars(lat)["norm_ideal"] == 2
+    assert lat == fresh and hash(lat) == hash(fresh)
+    back = pickle.loads(pickle.dumps(lat))
+    assert back == fresh and hash(back) == hash(fresh) and back.norm_ideal == 2
 
 
 def test_the_walk_runs_at_odd_norms_of_an_odd_lattice():
@@ -567,6 +579,30 @@ def test_enumeration_matches_the_oracle_where_the_walk_looks_up_triples(cs):
     assert oracle[norms[0]] == support_sign_reference(lat, norms[0])
 
 
+@st.composite
+def congruence_systems(draw):
+    """n = 12 or 13 with two or three congruence rows modulo primes 5-13,
+    weights nonzero modulo them, and no equality row: nothing prunes the
+    walk, and with at most 13^3 keys many pairs share one."""
+    n = draw(st.integers(12, 13))
+    rows = []
+    for _ in range(draw(st.integers(2, 3))):
+        q = draw(st.sampled_from((5, 7, 11, 13)))
+        rows.append((draw(st.tuples(*[st.integers(1, q - 1)] * n)), q))
+    return _cs(n, rows)
+
+
+@settings(max_examples=5, deadline=None)
+@given(congruence_systems())
+def test_congruence_rows_alone_match_the_oracle_where_the_walk_looks_up_triples(cs):
+    lat = build(cs)
+    norms = [m for m in range(1, 11) if lattice._lookup_width(cs.ambient_dim, m) == 3]
+    assert norms
+    oracle = enumerate_by_basis_oracle(lat, max(norms))
+    for m in norms:
+        assert vectors_of_norm(lat, m) == oracle[m], m
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_enumeration_matches_the_reference_walk_on_the_oracle_specs(spec):
     # the criterion-8 specs, to norm 10 at rank <= 9 and to norm 8 above;
@@ -591,10 +627,10 @@ if __name__ == "__main__":
     # specs at norms 1-8 and the criterion-8 specs at norms 1-10, each spec's
     # norm ideal N and, per norm, whether N settles it (N does not divide
     # it: no walk, no table), the vectors that vectors_of_norm finds, the
-    # width of its lookup, the tables it builds with their entries, and its
-    # walk nodes; then, for the perfbench oracle workload specs at bound 8
-    # and the criterion-8 specs at bound 10, the vectors that
-    # enumerate_by_basis_oracle finds, its nodes and its leaves.  A walk node
+    # width of its lookup, per table width the tables it builds and their
+    # entries, and its walk nodes; then, for the perfbench oracle workload
+    # specs at bound 8 and the criterion-8 specs at bound 10, the vectors
+    # that enumerate_by_basis_oracle finds, its nodes and its leaves.  A walk node
     # is one call of the function named place nested in lattice.py (a node
     # that places a further coordinate; each placement's lookup is made in
     # its parent's call), a table one value returned by the nested function
@@ -626,12 +662,21 @@ if __name__ == "__main__":
             sys.setprofile(None)
         return result, calls, tables
 
+    def add_by_width(into, by_width):
+        for t, counts in by_width.items():
+            into_t = into.setdefault(t, {"tables": 0, "entries": 0})
+            for key in counts:
+                into_t[key] += counts[key]
+
     def walk_work(lat, m):
         mvs, calls, tables = counted(lambda: vectors_of_norm(lat, m), "place")
         settled = m % lat.norm_ideal != 0
+        by_width = {}
+        for (t, _), entries in sorted(tables.items()):
+            add_by_width(by_width, {t: {"tables": 1, "entries": entries}})
         return {"settled_by_norm_ideal": settled, "found": mvs.count,
                 "width": None if settled else lattice._lookup_width(lat.ambient_dim, m),
-                "tables": len(tables), "entries": sum(tables.values()), "nodes": calls["place"]}
+                "by_width": by_width, "nodes": calls["place"]}
 
     def oracle_work(lat, bound):
         sets, calls, _ = counted(lambda: enumerate_by_basis_oracle(lat, bound),
@@ -647,15 +692,18 @@ if __name__ == "__main__":
     for corpus, specs, norms in (("analyze", analyze_specs, range(1, 5)),
                                  ("oracle workload", ORACLE_WORKLOAD_SPECS, range(1, 9)),
                                  ("criterion 8", ORACLE_SPECS, range(1, ORACLE_BOUND + 1))):
-        total = {"settled_by_norm_ideal": 0, "found": 0, "tables": 0, "entries": 0, "nodes": 0}
+        total = {"settled_by_norm_ideal": 0, "found": 0, "nodes": 0}
+        by_width = {}
         for spec in specs:
             lat = lat_of(spec)
             work = {m: walk_work(lat, m) for m in norms}
             for w in work.values():
                 for key in total:
                     total[key] += w[key]
+                add_by_width(by_width, w["by_width"])
             print(json.dumps({"corpus": corpus, "spec": spec, "norm_ideal": lat.norm_ideal,
                               "norms": work}), flush=True)
+        total["by_width"] = dict(sorted(by_width.items()))
         print(json.dumps({"corpus": corpus, "total": total}), flush=True)
     for corpus, specs, bound in (("oracle workload", ORACLE_WORKLOAD_SPECS, 8),
                                  ("criterion 8 oracle", ORACLE_SPECS, ORACLE_BOUND)):
