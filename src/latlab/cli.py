@@ -11,7 +11,9 @@ agreement, 1 verified mismatch, 2 usage error, 3 construction error; main
 maps SpecError to 2 and ConstructionError to 3, and argparse's own usage
 errors are raised as SpecError, so they too exit 2 with one error: line.
 Parallelism for row-based commands comes from --jobs or the LATLAB_JOBS
-environment variable; output is byte-identical for every parallelism degree.
+environment variable: --jobs N runs the rows on this process and at most
+N - 1 children it forks (a POSIX fork is needed), and output is
+byte-identical for every N.
 """
 
 from __future__ import annotations

@@ -184,13 +184,85 @@ class ScanResult:
 
 
 def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], spread over min(jobs, len(items)) processes."""
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """[fn(item) for item in items], shared by the calling process and the
+    min(jobs, len(items)) - 1 children it forks; a POSIX fork is needed.
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    Every process, the caller included, claims the next item index from one
+    counter passed between them through a pipe, so a slow item holds up no
+    fixed share of the others.  A child pickles its outcomes back through
+    its own pipe and leaves through os._exit; the results come back in item
+    order whatever jobs is.  An exception stops the hand-out, and the lowest
+    failing item's is re-raised, as a serial run would raise it; a child
+    that dies makes the call raise RuntimeError and the others are killed.
+    Every child is reaped before the call returns or raises.
+    """
+    n = len(items)
+    if min(jobs, n) <= 1:
+        return [fn(item) for item in items]
+    import os
+    import pickle
+    import signal
+
+    counter_r, counter_w = os.pipe()
+    os.write(counter_w, bytes(8))
+
+    def claim(stop: bool = False) -> int:
+        # reading the counter takes it: no other process claims until it is
+        # written back
+        i = int.from_bytes(os.read(counter_r, 8), "little")
+        os.write(counter_w, (n if stop else min(i + 1, n)).to_bytes(8, "little"))
+        return i
+
+    def share() -> dict:
+        # item index -> (True, result) or (False, the exception it raised)
+        done = {}
+        while (i := claim()) < n:
+            try:
+                done[i] = True, fn(items[i])
+            except Exception as exc:
+                done[i] = False, exc
+                claim(stop=True)
+                break
+        return done
+
+    children = {}  # pid -> the read end of the child's pipe, as a file
+    try:
+        for _ in range(min(jobs, n) - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(share()))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        outcomes = share()
+        for pid in list(children):
+            data = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if status:
+                raise RuntimeError("a forked worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            outcomes.update(pickle.loads(data))
+    finally:
+        for pid, fh in children.items():  # left only after a failure
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(counter_r)
+        os.close(counter_w)
+    results = []
+    # every item below the lowest failing one was claimed before it and ran
+    for i in range(n):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def _scan_entry(args) -> bool:
@@ -210,8 +282,9 @@ def scan_D(excl, d_max: int | None = None, jobs: int = 1) -> ScanResult:
     so a d_max above that bound is refused (SpecError) before any work, and
     at the bound, the default, the returned D is exact.  Below the bound the
     scan reports the observed failures with D unresolved.  The
-    per-dimension reports are independent and run across `jobs` processes;
-    the result does not depend on the partitioning.
+    per-dimension reports are independent; they run on this process and at
+    most jobs - 1 forked children (_map), and the result does not depend on
+    jobs.
     """
     excl = tuple(excl)
     k = len(excl)
@@ -508,11 +581,6 @@ def minvec_graph(mvs: MinimalVectorSet, product_value: int,
             if s == product_value:
                 adj[i][j] = adj[j][i] = 1
     return MinVectorGraph(tuple(verts), tuple(tuple(r) for r in adj))
-
-
-def orthogonality_degrees(mvs: MinimalVectorSet) -> set[int]:
-    """Distinct counts of pairs orthogonal to each pair of shortest vectors."""
-    return set(minvec_graph(mvs, 0).degrees())
 
 
 def parity_check_LF2k(k: int) -> bool:

@@ -9,6 +9,7 @@ from math import comb
 
 from latlab import intlinalg
 from latlab.lattice import MinimalVectorSet, square_patterns
+from latlab.perfection import minvec_graph
 
 
 def identity(n):
@@ -271,6 +272,11 @@ def srg_by_matrix_identity(adjacency):
     if lam is None or mu is None:
         return None
     return (n, k, lam, mu)
+
+
+def orthogonality_degrees(mvs):
+    """Distinct counts of pairs orthogonal to each pair of shortest vectors."""
+    return set(minvec_graph(mvs, 0).degrees())
 
 
 def faddeev_leverrier(M):

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
+from references import orthogonality_degrees
+
 from latlab import families, groups, lattice, perfection, tables
 from latlab.families import FamilySpec, parse_family
 
@@ -156,8 +158,8 @@ def test_criterion_7_graph_invariants():
         assert graph.spectrum() == {10: 1, 1: 20, -5: 6}
         m9 = lattice.vectors_of_norm(families.build_family("LA:Z/9"), 4)
         m33 = lattice.vectors_of_norm(families.build_family("LA:Z/3+Z/3"), 4)
-        d9 = perfection.orthogonality_degrees(m9)
-        d33 = perfection.orthogonality_degrees(m33)
+        d9 = orthogonality_degrees(m9)
+        d33 = orthogonality_degrees(m33)
         # degree 15 occurs only for the cyclic group; the elementary group
         # is uniformly 9, so the profiles separate the two lattices
         assert 15 in d9 and d33 == {9} and d9 != d33

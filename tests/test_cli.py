@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latlab import tables
 from latlab.cli import _build_parser, _decimal, main
+from latlab.errors import ConstructionError, SpecError
 from latlab.groups import FinAbelianGroup
 
 
@@ -187,11 +188,26 @@ def test_jobs_do_not_change_output(capsys, monkeypatch):
 
 
 def test_jobs_beyond_any_pool_size(capsys):
-    # the pool never starts more workers than there are rows, so a --jobs
-    # too large for a process pool to take still runs the 9 rows of O8
+    # --jobs N runs the rows on the caller and at most N - 1 forked
+    # children, never more processes than rows, so a --jobs far beyond any
+    # process count still runs the 9 rows of O8, on 9 processes
     code1, out1, _ = run_cli(capsys, "--jobs", "1", "table", "O8")
     code2, out2, err = run_cli(capsys, "table", "O8", "--jobs", "1000000000000000000000")
     assert (code2, out2, err) == (0, out1, "") and code1 == 0
+
+
+@pytest.mark.parametrize("error, code", [(ConstructionError, 3), (SpecError, 2)])
+def test_a_pooled_row_keeps_the_exit_code_contract(capsys, monkeypatch, error, code):
+    # a row task's bad-input exception crosses the forked workers' pipes
+    # with its type, so the exit code and the one error: line do not depend
+    # on --jobs
+    def refuse(args):
+        raise error(f"row {args[2]} refused")
+
+    monkeypatch.setattr(tables, "_exclusion_row", refuse)
+    serial = run_cli(capsys, "table", "L7-single", "--jobs", "1")
+    assert serial == (code, "", "error: row (2,) refused\n")
+    assert run_cli(capsys, "table", "L7-single", "--jobs", "2") == serial
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -1,3 +1,5 @@
+import os
+import time
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb, isqrt
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 from references import (
     bareiss_rank,
     neighbor_counts_reference,
+    orthogonality_degrees,
     spectrum_by_exact_roots,
     srg_by_matrix_identity,
 )
 
 from latlab import families, intlinalg, lattice, perfection, tables
-from latlab.errors import SpecError
+from latlab.errors import ConstructionError, SpecError
 from latlab.families import parse_family
 from latlab.perfection import (
     _neighbor_counts,
@@ -23,7 +26,6 @@ from latlab.perfection import (
     minvec_graph,
     neighbor_stats,
     neighbor_survey,
-    orthogonality_degrees,
     parity_check_LF2k,
     pattern_decompose,
     perfection_report,
@@ -185,6 +187,102 @@ def test_scan_D_refuses_a_dmax_above_the_tail_bound(monkeypatch):
                                ((), 10**4, 7)):
         with pytest.raises(SpecError, match=f"above the certified tail bound {bound}"):
             scan_D(excl, d_max)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _log_run(log, x):
+    # one O_APPEND write per item, so the lines of all processes interleave
+    # whole
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    os.write(fd, b"%d\n" % x)
+    os.close(fd)
+
+
+def test_map_returns_results_in_item_order():
+    # the earlier the item, the longer it takes, so later items finish first
+    def slow_first(x):
+        time.sleep(0.03 * (6 - x))
+        return x * x
+
+    assert perfection._map(slow_first, list(range(6)), 3) == [x * x for x in range(6)]
+    _no_child_left()
+
+
+def test_map_reraises_a_task_exception_in_the_caller(tmp_path):
+    caller = os.getpid()
+
+    def refused_in_a_child(x):
+        if os.getpid() == caller:
+            time.sleep(0.1)  # leaves items for the children to claim
+            return x
+        raise ConstructionError(f"item {x} refused")
+
+    with pytest.raises(ConstructionError, match=r"^item \d refused$"):
+        perfection._map(refused_in_a_child, list(range(6)), 3)
+    _no_child_left()
+
+    # every item refuses: the first item's exception wins, as in a serial
+    # run, and a refusal stops the hand-out, so no process runs a second item
+    log = tmp_path / "runs"
+
+    def refused(x):
+        _log_run(log, x)
+        raise SpecError(f"item {x} refused")
+
+    for jobs in (1, 2, 3):
+        log.write_bytes(b"")
+        with pytest.raises(SpecError, match="^item 0 refused$"):
+            perfection._map(refused, list(range(6)), jobs)
+        assert len(log.read_bytes().split()) <= jobs
+        _no_child_left()
+
+
+def test_map_raises_when_a_child_dies():
+    caller = os.getpid()
+
+    def dies_in_a_child(x):
+        if os.getpid() != caller:
+            os._exit(1)
+        time.sleep(0.1)  # leaves items for the children to claim
+        return x
+
+    for jobs in (2, 3):
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            perfection._map(dies_in_a_child, list(range(6)), jobs)
+        _no_child_left()
+
+
+def test_map_runs_each_item_once_on_more_processes_than_cores(tmp_path):
+    # every process appends the items it runs to one log, so an item the
+    # shared counter handed out twice, or never, shows there
+    log = tmp_path / "runs"
+
+    def logged(x):
+        _log_run(log, x)
+        return -x
+
+    assert perfection._map(logged, list(range(300)), 6) == [-x for x in range(300)]
+    assert sorted(map(int, log.read_text().split())) == list(range(300))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 10**21])
+def test_map_runs_on_the_caller_and_at_most_jobs_minus_one_children(jobs):
+    caller = os.getpid()
+
+    def pid(x):
+        if os.getpid() != caller:
+            time.sleep(0.2)  # so the caller surely claims an item too
+        return os.getpid()
+
+    pids = set(perfection._map(pid, list(range(5)), jobs))
+    assert caller in pids and len(pids - {caller}) <= min(jobs, 5) - 1
+    assert perfection._map(pid, [0], jobs) == [caller]
+    _no_child_left()
 
 
 def test_scanned_Ld_lattices_have_no_vectors_below_norm_4():
