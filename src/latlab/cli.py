@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: build, analyze, minvec, verify, table, scan-D, graph, craig.
-Output is JSON by default (every integer rendered as a decimal string) or
-CSV with --format csv.  Each _cmd_* function returns (exit code, JSON
-object, CSV tables as (header, rows) pairs); main is the one place that
-renders a result, so no command chooses a format.  graph alone returns a
+Output is JSON by default or CSV with --format csv.  _render_json is the
+one JSON renderer and the one home of the decimal-string rule: it writes
+every integer as a decimal string as it renders, in one pass, with no copy
+of the result.  Each _cmd_* function returns (exit code, JSON object, CSV
+tables as (header, rows) pairs); main is the one place that renders a
+result, so no command chooses a format.  graph alone returns a
 fourth item, its adjacency matrix text, which main writes first, and no CSV
 tables: it gets JSON whatever the format.  Exit codes: 0 success /
 agreement, 1 verified mismatch, 2 usage error, 3 construction error; main
@@ -21,11 +23,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from . import families, lattice, perfection, tables
 from .errors import ConstructionError, SpecError
@@ -54,20 +56,39 @@ class RunConfig:
     norm_cap: int = 12
 
 
-def _decimal(obj):
-    """The JSON form of obj: every int that is not a bool, dict keys
-    included, becomes its decimal string, and every tuple or list a list."""
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
+def _render_json(obj, pad: str = "\n") -> str:
+    """obj as indented JSON (two spaces, separators ',' and ': '), with every
+    int that is not a bool, dict keys included, written as its decimal
+    string and every other iterable that is not a dict written as a list:
+    the one home of the decimal-string rule.  A float or any other leaf
+    that is not iterable raises TypeError.  Keys keep their order."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj)
+        return encode_basestring_ascii(str(obj))
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {_decimal(k): _decimal(v) for k, v in obj.items()}
-    return [_decimal(x) for x in obj]
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(_decimal(obj), indent=2))
+        # an int key becomes its decimal string, so the two are one key,
+        # at the first one's place with the last one's value
+        items = {(str(k) if isinstance(k, int) and not isinstance(k, bool) else k):
+                 _render_json(v, inner) for k, v in obj.items()}
+        if not items:
+            return "{}"
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(k if isinstance(k, str) else _render_json(k))}: {v}"
+            for k, v in items.items())
+        return "{" + inner + body + pad + "}"
+    items = obj if isinstance(obj, (list, tuple)) else list(obj)
+    if not items:
+        return "[]"
+    if {*map(type, items)} == {int}:  # plain ints only, so no bool
+        body = ('",' + inner + '"').join(map(str, items))
+        return "[" + inner + '"' + body + '"' + pad + "]"
+    return "[" + inner + ("," + inner).join(_render_json(x, inner) for x in items) + pad + "]"
 
 
 def _emit_csv(header, rows) -> None:
@@ -267,7 +288,7 @@ def main(argv=None) -> int:
         for header, rows in csv_tables:
             _emit_csv(header, rows)
     else:
-        _emit_json(obj)
+        print(_render_json(obj))
     return code
 
 

@@ -429,15 +429,20 @@ class MinVectorGraph:
         The graph is strongly regular when every vertex has the same degree
         k, every two adjacent vertices have the same number lambda of common
         neighbors, and every two non-adjacent vertices the same number mu.
-        The common neighbors of i and j are the intersection of their
-        neighbor sets.
+        Each adjacency row is one int, bit j set where j is a neighbor, so
+        the common neighbors of i and j are the set bits of rows[i] & rows[j].
+        The pairs are walked row by row, and the walk stops with None as
+        soon as the degrees, the lambdas or the mus take two values.
         """
-        nbrs = [{j for j, a in enumerate(row) if a} for row in self.adjacency]
+        rows = [sum(1 << j for j, a in enumerate(row) if a) for row in self.adjacency]
+        degrees = {row.bit_count() for row in rows}
         lam: set[int] = set()
         mu: set[int] = set()
-        for i, j in combinations(range(self.order), 2):
-            (lam if j in nbrs[i] else mu).add(len(nbrs[i] & nbrs[j]))
-        degrees = set(map(len, nbrs))
+        for i, row in enumerate(rows):
+            if max(len(degrees), len(lam), len(mu)) > 1:
+                return None
+            for j in range(i + 1, len(rows)):
+                (lam if row >> j & 1 else mu).add((row & rows[j]).bit_count())
         if len(degrees) == len(lam) == len(mu) == 1:
             return (self.order, degrees.pop(), lam.pop(), mu.pop())
         return None

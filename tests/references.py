@@ -354,3 +354,17 @@ def sequence_min_poly(seq, p):
         for row in rows[:rank]:
             g[next(c for c in range(L) if row[c])] = row[-1]
         return [1] + g
+
+
+def decimal_json(obj):
+    """The JSON form of obj by a full copy: every int that is not a bool,
+    dict keys included, becomes its decimal string, and every tuple or list
+    (any other iterable that is not a dict) a list.  The CLI's output was
+    json.dumps(decimal_json(obj), indent=2)."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {decimal_json(k): decimal_json(v) for k, v in obj.items()}
+    return [decimal_json(x) for x in obj]

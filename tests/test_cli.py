@@ -1,14 +1,16 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import decimal_json
 
 from latlab import tables
-from latlab.cli import _build_parser, _decimal, main
+from latlab.cli import _build_parser, _render_json, main
 from latlab.errors import ConstructionError, SpecError
 from latlab.groups import FinAbelianGroup
 
@@ -287,9 +289,39 @@ def test_malformed_specs_fail_cleanly(capsys, spec):
 def test_decimal_renders_non_bool_ints_only():
     obj = {"ok": True, "agree": False, "D": None, "det": -540, "family": "Ld:7",
            "rows": ((1, (2, -3)), []), 10: 27}
-    assert json.dumps(_decimal(obj)) == (
+    assert json.loads(_render_json(obj)) == json.loads(
         '{"ok": true, "agree": false, "D": null, "det": "-540", "family": "Ld:7", '
         '"rows": [["1", ["2", "-3"]], []], "10": "27"}')
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/aZ09 \xe9\u2028\U0001f600') | st.characters())
+_INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-1)
+_LEAVES = st.none() | st.booleans() | _INTS | _TEXT
+_KEYS = _TEXT | st.integers(min_value=-20, max_value=20) | st.booleans()
+_JSON_OBJECTS = st.recursive(
+    _LEAVES | st.lists(_INTS | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_OBJECTS)
+@example({0: "first", "0": "last", True: 1, "true": [], None: ()})
+@example([1, True, -(2**70)])
+@example(("\u00e9\"\\\x01", {}, [], ()))
+def test_render_json_is_json_dumps_of_the_decimal_copy(obj):
+    # byte for byte what json.dumps(..., indent=2) writes for the full
+    # decimal-string copy
+    assert _render_json(obj) == json.dumps(decimal_json(obj), indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, Fraction(1, 2), {"x": [1, 2.0]}, [3, Fraction(3, 4)],
+                                 {1.5: 1}, {Fraction(1, 2): 1}])
+def test_render_json_refuses_floats_and_fractions(obj):
+    with pytest.raises(TypeError):
+        _render_json(obj)
 
 
 def test_run_option_placement(capsys, monkeypatch):

@@ -7,6 +7,7 @@ covers the README CLI examples in json and csv at ``--jobs 1`` and
 ``--jobs 3``, every reference table at ``--jobs 2``, the three ``craig``
 methods, one build/analyze/minvec/verify per family tag, and the graph and
 scan-D outputs whose spectrum, srg or D is null or unresolved, the
+outputs whose containers are empty (``[]`` and ``{}``), the
 ``craig --method histogram`` pair counts over GF(25), GF(27) and GF(49)
 (k = 3, 2 and 2), the only histograms over fields with e > 1, the
 graphs whose characteristic polynomial has large or irrational-root
@@ -138,6 +139,16 @@ _BRANCHES = (
     ("graph", "Ld:5", "--base-vector", "1,1"),
 )
 
+# empty containers: no vectors at norm 1 (json and csv), a graph on 0
+# vertices ({} degrees and spectrum) and a scan with no exclusion and no
+# perfect d
+_EMPTY = (
+    ("minvec", "Ld:8", "--norm", "1"),
+    ("--format", "csv", "minvec", "Ld:8", "--norm", "1"),
+    ("graph", "Ld:8", "--norm", "1"),
+    ("scan-D", "--dmax", "3"),
+)
+
 
 def corpus_argvs() -> list[list[str]]:
     out = []
@@ -155,7 +166,7 @@ def corpus_argvs() -> list[list[str]]:
                 ["minvec", spec, "--norm", str(norm)], ["verify", spec]]
     out += [list(cmd) for cmd in _NULL_PATHS + _CHAR_POLY + _SYM_RANK + _NORMS]
     out += [["build", spec] for spec in _BUILDS + _KERNELS]
-    out += [list(cmd) for cmd in _BRANCHES]
+    out += [list(cmd) for cmd in _BRANCHES + _EMPTY]
     return out
 
 

@@ -18,16 +18,27 @@ def test_package_has_no_assert_statements():
 
 def test_only_cli_main_renders_a_result():
     # each _cmd_* returns its result; main alone chooses JSON or CSV and
-    # writes stdout
-    tree = ast.parse((Path(latlab.__file__).parent / "cli.py").read_text())
+    # writes stdout, and cli._render_json is the package's one JSON renderer
+    package = Path(latlab.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text())
     found = [
         f"{func.name}:{node.lineno}"
         for func in tree.body
         if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")
         for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id in ("_emit_json", "_emit_csv", "print")
+        if isinstance(node, ast.Name) and node.id in ("_render_json", "_emit_csv", "print")
     ]
     assert not found, found
+    dumps = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json")
+            and any(alias.name in ("dump", "dumps", "JSONEncoder") for alias in node.names))
+    ]
+    assert not dumps, dumps
 
 
 def _top_level_private_names(tree):
