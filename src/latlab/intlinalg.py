@@ -16,11 +16,11 @@ package is built on:
   leaves one k x k Bareiss determinant for its k non-pivot columns,
 * ``certified_rank`` - exact ranks of sparse rows under a known cap,
   certified by one sparse elimination modulo a prime that keeps its pivot
-  rows in reduced row-echelon form (each pivot row is 1 in its own column
-  and 0 in every other pivot column, so an incoming row is reduced only by
-  the pivots in its own support) when it finds cap pivots, else by the
-  HNF; a degree-k flattening of vectors spanning s dimensions has the cap
-  comb(s + k - 1, k),
+  rows in reduced row-echelon form (1 in their own column, 0 in every other
+  pivot column: nothing chains, so a row is reduced in one pass by the
+  pivots in its support, with one mod per touched column) when it finds cap
+  pivots, else by the HNF; a degree-k flattening of vectors spanning s
+  dimensions has the cap comb(s + k - 1, k),
 * ``span_coordinates`` - the dimension s of the span of vectors and the
   vectors projected onto the s pivot columns of that elimination, which is
   injective on the span, so their degree-k flattenings use at most
@@ -228,29 +228,25 @@ def bareiss_det(M) -> int:
 _CERT_PRIME = (1 << 61) - 1
 
 
-def _subtract(v: dict[int, int], f: int, row: dict[int, int]) -> None:
-    """v -= f * row modulo _CERT_PRIME, in place, dropping the entries that vanish."""
-    p = _CERT_PRIME
-    for j, x in row.items():
-        if y := (v.get(j, 0) - f * x) % p:
-            v[j] = y
-        else:
-            del v[j]
-
-
 def _reduce(row, pivots: dict[int, dict[int, int]]) -> dict[int, int]:
-    """A sparse row modulo _CERT_PRIME, reduced by the pivots in its support.
+    """A sparse row modulo _CERT_PRIME, reduced in one pass by its pivots.
 
     pivots maps each pivot column to the rest of its pivot row, which has a 1
     in that column and a 0 in every other pivot column (reduced row-echelon
-    form).  Subtracting a pivot row therefore writes no pivot column, so the
-    pivots outside the row's own support are never needed and the result
-    has no entry in any pivot column.
+    form), so nothing chains: an entry x in a pivot column adds -x times
+    that pivot row, which writes no pivot column, unless x vanishes mod the
+    prime or the row is empty; the other entries are summed as they are,
+    and one mod per touched column, at the end, drops the zeros.
     """
-    v = {c: y for c, x in row.items() if (y := x % _CERT_PRIME)}
-    for col in [c for c in v if c in pivots]:
-        _subtract(v, v.pop(col), pivots[col])
-    return v
+    p = _CERT_PRIME
+    acc: dict[int, int] = {}
+    for c, x in row.items():
+        if c not in pivots:
+            acc[c] = acc.get(c, 0) + x
+        elif x % p and (prow := pivots[c]):
+            for j, y in prow.items():
+                acc[j] = acc.get(j, 0) - x * y
+    return {c: y for c, x in acc.items() if (y := x % p)}
 
 
 def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
@@ -259,11 +255,10 @@ def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
     pivots are found.  Their number is the rank modulo the prime, which
     never exceeds the rank over Q.
 
-    Each incoming row is reduced by the pivots in its own support
-    (_reduce).  A row left nonzero takes its lowest column as pivot and is
-    scaled to 1 there; that column is then cleared from the earlier pivot
-    rows holding it, found through an index from each non-pivot column to
-    the pivots whose rows may hold it, so the form stays reduced.
+    Each incoming row is reduced in one pass (_reduce).  A row left nonzero
+    takes its lowest column as pivot, scaled to 1 there, and that column is
+    cleared from the earlier pivot rows holding it, which an index from each
+    non-pivot column to the pivots whose rows may hold it finds.
     """
     p = _CERT_PRIME
     pivots: dict[int, dict[int, int]] = {}
@@ -277,8 +272,13 @@ def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
         prow = {j: x * inv % p for j, x in v.items()}
         cleared = holders.pop(col, set())
         for q in cleared:
-            if f := pivots[q].pop(col, 0):
-                _subtract(pivots[q], f, prow)
+            qrow = pivots[q]
+            if f := qrow.pop(col, 0):
+                for j, x in prow.items():
+                    if y := (qrow.get(j, 0) - f * x) % p:
+                        qrow[j] = y
+                    else:
+                        del qrow[j]
         cleared.add(col)
         for j in prow:
             holders.setdefault(j, set()).update(cleared)

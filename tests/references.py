@@ -105,6 +105,56 @@ def bareiss_rank(M):
     return r
 
 
+def subtract_mod_p(v, f, row):
+    """v -= f * row modulo intlinalg._CERT_PRIME, in place, dropping the
+    entries that vanish."""
+    p = intlinalg._CERT_PRIME
+    for j, x in row.items():
+        if y := (v.get(j, 0) - f * x) % p:
+            v[j] = y
+        else:
+            del v[j]
+
+
+def reduce_sequentially(row, pivots):
+    """A sparse row modulo intlinalg._CERT_PRIME, reduced in two steps: its
+    entries are taken mod the prime, then each pivot row of a pivot column
+    in its support is subtracted in turn, with a mod per entry (pivots maps
+    a pivot column to the rest of its pivot row, as in the package)."""
+    v = {c: y for c, x in row.items() if (y := x % intlinalg._CERT_PRIME)}
+    for col in [c for c in v if c in pivots]:
+        subtract_mod_p(v, v.pop(col), pivots[col])
+    return v
+
+
+def pivot_columns_mod_p_sequential(rows, cap):
+    """intlinalg._pivot_columns_mod_p as it was before each row was reduced
+    in one pass: the sequential reference eliminator.  Rows are reduced by
+    reduce_sequentially, and a new pivot column is cleared from the earlier
+    pivot rows holding it by subtract_mod_p, through the same index."""
+    p = intlinalg._CERT_PRIME
+    pivots = {}
+    holders = {}
+    for row in rows:
+        v = reduce_sequentially(row, pivots)
+        if not v:
+            continue
+        col = min(v)
+        inv = pow(v.pop(col), -1, p)
+        prow = {j: x * inv % p for j, x in v.items()}
+        cleared = holders.pop(col, set())
+        for q in cleared:
+            if f := pivots[q].pop(col, 0):
+                subtract_mod_p(pivots[q], f, prow)
+        cleared.add(col)
+        for j in prow:
+            holders.setdefault(j, set()).update(cleared)
+        pivots[col] = prow
+        if len(pivots) == cap:
+            break
+    return list(pivots)
+
+
 def gram_det_by_bareiss(B):
     """det(B B^t) by Bareiss elimination of the dense Gram matrix."""
     return intlinalg.bareiss_det(intlinalg.gram_matrix(B))

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, prod
@@ -14,6 +15,7 @@ from references import (
     faddeev_leverrier,
     gram_det_by_bareiss,
     identity,
+    pivot_columns_mod_p_sequential,
     sequence_min_poly,
 )
 
@@ -264,32 +266,72 @@ def test_sparse_rank_mod_p_matches_the_dense_loop(rows, offset):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrix(mod_p_entry))
+@example([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 1, 1: 2, 2: 1}])
+@example([{0: _P}, {0: 2, 1: _P}, {1: 1}])
+@example([{0: _P, 1: 1}, {0: 1}])  # rank 2 over Q, 1 mod the prime
+@example([{0: 0}, {0: 1, 1: 1}])  # a stored zero
+# entries of a pivot column that vanish, or exceed the prime, mod p
+@example([{0: 1, 1: 2}, {0: _P, 1: 1}, {0: _P + 1, 1: -_P, 2: 2 * _P}, {0: -_P, 2: 3}])
+@example([{5: 1, 3: 1}, {3: 1, 0: 1}, {5: 1, 3: 2}])  # a new pivot cleared from two rows
+def test_pivot_columns_match_the_sequential_eliminator(rows):
+    # the one-pass reduction finds the pivots of the eliminator that
+    # reduced each row pivot by pivot, in the same order, below, at and
+    # above the rank modulo the prime
+    r = len(pivot_columns_mod_p_sequential(rows, -1))
+    for cap in (-1, r, r + 1):
+        assert intlinalg._pivot_columns_mod_p(rows, cap) == pivot_columns_mod_p_sequential(rows, cap)
+
+
+class RecordingPivots(Mapping):
+    """A read-only view of the eliminator's pivots that records the column
+    of each pivot row read through it; a membership test reads no row."""
+
+    def __init__(self, pivots):
+        self.pivots = pivots
+        self.read = []
+
+    def __getitem__(self, col):
+        row = self.pivots[col]
+        self.read.append(col)
+        return row
+
+    def __contains__(self, col):
+        return col in self.pivots
+
+    def __iter__(self):
+        return iter(self.pivots)
+
+    def __len__(self):
+        return len(self.pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix(mod_p_entry))
 # the third row makes column 5 a pivot, which must then be cleared from the
 # column-3 pivot row {3: 1, 5: 1} and the column-0 pivot row {0: 1, 5: -1}
 @example([{5: 1, 3: 1}, {3: 1, 0: 1}, {5: 1, 3: 2}])
 def test_rows_meet_only_the_pivots_in_their_support(rows):
     # Each incoming row goes to _reduce with the stored pivots.  At every
     # call no stored pivot row has an entry in another pivot's column, and
-    # reducing the row applies at most one pivot per entry of its support.
+    # reducing the row reads at most one pivot row per entry of its support,
+    # counted through a recording view of the pivots: each read is of a
+    # column where the row is nonzero mod the prime, and none is repeated.
     # A trailing empty row, read because the cap is above any rank, shows
     # the final state too.
-    reduce, subtract = intlinalg._reduce, intlinalg._subtract
-    applied = []
+    reduce = intlinalg._reduce
 
     def checked_reduce(row, pivots):
         for prow in pivots.values():
             assert not prow.keys() & pivots.keys()
-        applied.clear()
-        v = reduce(row, pivots)
-        assert len(applied) <= sum(1 for x in row.values() if x % _P)
+        recording = RecordingPivots(pivots)
+        v = reduce(row, recording)
+        support = {c for c, x in row.items() if x % _P}
+        assert len(recording.read) == len(set(recording.read))
+        assert set(recording.read) <= support
+        assert len(recording.read) <= len(support)
         return v
 
-    def recording_subtract(v, f, row):
-        applied.append(row)
-        subtract(v, f, row)
-
-    with (mock.patch.object(intlinalg, "_reduce", checked_reduce),
-          mock.patch.object(intlinalg, "_subtract", recording_subtract)):
+    with mock.patch.object(intlinalg, "_reduce", checked_reduce):
         cols = intlinalg._pivot_columns_mod_p(rows + [{}], len(rows) + 1)
     assert len(cols) == dense_rank_mod_p(dense(rows), -1)[0]
 
@@ -352,6 +394,14 @@ def _shortest_vectors(spec):
 def test_sym2_rank_of_the_analyze_specs(spec):
     d, vecs = _shortest_vectors(spec)
     assert perfection.sym_square_rank(vecs, d) == SYM2_RANKS[spec]
+    # the one-pass reduction finds the sequential eliminator's pivots, in
+    # order, on the rows that sym_square_rank ranks (the squares on the
+    # span's pivot coordinates) and on the squares on every coordinate
+    span, coords = intlinalg.span_coordinates(vecs, d)
+    for rows in (sym_power_rows(coords, 2), sym_power_rows(vecs, 2)):
+        for cap in (-1, comb(span + 1, 2)):
+            assert (intlinalg._pivot_columns_mod_p(rows, cap)
+                    == pivot_columns_mod_p_sequential(rows, cap))
     if spec in DENSE_SIZED:
         full = dense_sym_power_rows(vecs, 2)
         cap = comb(d + 1, 2)
@@ -931,7 +981,8 @@ if __name__ == "__main__":
     # coordinates that sym_square_rank runs, and for comparison the Sym2
     # pass on the ambient coordinates.  The work is counted here, around
     # the eliminator: the rows it read, the rows it reduced to zero, and
-    # its entry updates, one per pivot-row entry that _subtract applies.
+    # its entry updates, one per pivot-row entry applied, by _reduce to a
+    # row or by the clearing step to a stored pivot row.
     # It then runs every graph argv of the CLI corpus, and graph LA:Z/16,
     # and prints, for each spectrum taken, the order n, the Gershgorin bound,
     # the terms of each Krylov sequence (the first, then one per restart),
@@ -970,12 +1021,20 @@ if __name__ == "__main__":
                 read += 1
                 yield row
 
-        def counting_subtract(v, f, row, subtract=intlinalg._subtract):
+        def counting_reduce(row, pivots, reduce=intlinalg._reduce):
+            # _reduce applies every entry of each pivot row that it reads; a
+            # row it leaves nonzero becomes the pivot row of its lowest
+            # column, and the clearing step applies that row's other entries
+            # to each stored pivot row holding the column
             nonlocal updates
-            updates += len(row)
-            subtract(v, f, row)
+            recording = RecordingPivots(pivots)
+            v = reduce(row, recording)
+            updates += sum(len(pivots[c]) for c in recording.read)
+            if v:
+                updates += (len(v) - 1) * sum(min(v) in prow for prow in pivots.values())
+            return v
 
-        with mock.patch.object(intlinalg, "_subtract", counting_subtract):
+        with mock.patch.object(intlinalg, "_reduce", counting_reduce):
             pivots = len(intlinalg._pivot_columns_mod_p(counted(), cap))
         return {"pivots": pivots, "rows_read": read, "rows_zero": read - pivots,
                 "updates": updates}

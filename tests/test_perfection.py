@@ -62,15 +62,49 @@ def test_certified_rank_matches_bareiss():
         assert sym_square_rank(vecs) == sym_square_rank(vecs, lat.rank) == expected, spec
 
 
+# the lattices of the benchmark's analyze workload, copied here
+ANALYZE_SPECS = (
+    "Ld:26", "LA:Z/24", "Od:20", "Md:20", "Mneg:Z/30", "T:4",
+    "Craig:q=13,k=2", "Ld:6", "LA:Z/4+Z/2",
+)
+IMPERFECT_ANALYZE_SPECS = ("Ld:6", "LA:Z/4+Z/2")
+
+
 def test_perfect_report_needs_no_fallback(monkeypatch):
     # a perfect lattice reaches both caps mod p, the span's and the square's
     def no_fallback(rows):
         raise AssertionError("HNF fallback on a perfect lattice")
 
     lat = families.build_family("Ld:7")
-    monkeypatch.setattr(intlinalg, "_hnf_rows", no_fallback)
-    rep = perfection_report(lat)
+    with monkeypatch.context() as m:
+        m.setattr(intlinalg, "_hnf_rows", no_fallback)
+        rep = perfection_report(lat)
     assert (rep.sym_rank, rep.pd) == (28, 0)
+
+    # the rank path on the analyze corpus: the span pass (span_coordinates),
+    # then the Sym2 pass (certified_rank), each followed by the HNF only
+    # where the modular pass falls short of its cap.  Each perfect lattice
+    # certifies both mod p; the two imperfect ones reach the span's cap and
+    # fall back once, in the Sym2 pass
+    path = []
+
+    def traced(name, f):
+        def wrapper(*args):
+            path.append(name)
+            return f(*args)
+        return wrapper
+
+    for name in ("span_coordinates", "certified_rank", "_hnf_rows"):
+        monkeypatch.setattr(intlinalg, name, traced(name, getattr(intlinalg, name)))
+    for spec in ANALYZE_SPECS:
+        lat = families.build_family(spec)
+        path.clear()
+        rep = perfection_report(lat)
+        assert (rep.pd == 0) == (spec not in IMPERFECT_ANALYZE_SPECS), spec
+        expected = ["span_coordinates", "certified_rank"]
+        if rep.pd:
+            expected.append("_hnf_rows")
+        assert path == expected, spec
 
 
 def test_perfection_report_table_rows():
