@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -197,7 +198,12 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: it keeps the
+    _cmd_* functions it was built with, so patching one later does not
+    reach main.  Parsing reads no environment; RunConfig reads LATLAB_JOBS
+    on every call."""
     # the run options are accepted both before and after the subcommand;
     # SUPPRESS keeps a post-subcommand absence from clobbering a value parsed
     # from the front of the line, and main fills in the defaults

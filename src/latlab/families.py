@@ -125,7 +125,7 @@ def _excl_window_check(spec: FamilySpec) -> None:
     directly and may use ineffective exclusions freely.
     """
     extra, start, step = _WINDOWS[spec.tag]
-    # the last of the first d + extra + k members of the progression
+    # the last of the first d + extra + k - 1 members of the progression
     hi = start + (spec.d + extra + len(spec.excl) - 2) * step
     for a in spec.excl:
         if not start <= a <= hi:

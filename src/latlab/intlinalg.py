@@ -7,7 +7,7 @@ The rows of a Hermite normal form or of a rank certificate are sparse,
 package is built on:
 
 * ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests)
-  over sparse rows, with an index from each column to the rows holding it,
+  over sparse rows, finding the rows that hold each column by a scan,
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
 * ``rank`` - exact ranks, the number of nonzero HNF rows, and
   ``bareiss_det`` - determinants by fraction-free Bareiss elimination,
@@ -88,35 +88,26 @@ def _hnf_rows(rows) -> list[dict[int, int]]:
     Rows are only ever reduced by rows with the least entry, never scaled by
     a Bezout coefficient, which keeps them near the size of the result; and
     equal entries, the common case in kernels, cancel along a chain of
-    neighbouring rows, so the rows stay sparse.  An index from each column
-    to the positions of the rows holding it finds those rows without
-    scanning the others.
+    neighbouring rows, so the rows stay sparse.  The rows holding a column
+    are found by a scan of the rows for it: keeping an index from each
+    column to its rows up to date cost more than the scans it saved.
     """
     A = [{c: x for c, x in row.items() if x} for row in rows]
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(A):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
 
     def add(i: int, f: int, src: dict[int, int]) -> None:
         """A[i] += f * src in place, for f != 0."""
         row = A[i]
         for j, x in src.items():
-            y = row.get(j)
-            if y is None:
-                row[j] = f * x
-                holders.setdefault(j, set()).add(i)
-            elif y := y + f * x:
+            if y := row.get(j, 0) + f * x:
                 row[j] = y
             else:
                 del row[j]
-                holders[j].discard(i)
 
     r = 0
-    for c in sorted(holders):
+    for c in sorted({c for row in A for c in row}):
         if r == len(A):
             break
-        below = sorted(i for i in holders[c] if i >= r)
+        below = [i for i in range(r, len(A)) if c in A[i]]
         while len(below) > 1:
             least = min(abs(A[i][c]) for i in below)
             mins = [i for i in below if abs(A[i][c]) == least]
@@ -128,16 +119,13 @@ def _hnf_rows(rows) -> list[dict[int, int]]:
         if not below:
             continue
         if (piv := below[0]) != r:
-            # a column held by both rows is toggled twice and keeps both
-            for j in [*A[r], *A[piv]]:
-                holders[j] ^= {r, piv}
             A[r], A[piv] = A[piv], A[r]
         Ar = A[r]
         if Ar[c] < 0:
             Ar = A[r] = {j: -x for j, x in Ar.items()}
         p = Ar[c]
-        for i in sorted(holders[c] - {r}):
-            if q := A[i][c] // p:
+        for i in range(r):
+            if c in A[i] and (q := A[i][c] // p):
                 add(i, -q, Ar)
         r += 1
     return A[:r]

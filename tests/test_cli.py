@@ -189,6 +189,17 @@ def test_jobs_do_not_change_output(capsys, monkeypatch):
     assert (code1, out1) == (code3, out3)
 
 
+def test_parser_is_built_once_and_jobs_env_read_per_call(capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    # the cached parser holds no environment: LATLAB_JOBS is read on every
+    # call that leaves --jobs off
+    monkeypatch.delenv("LATLAB_JOBS", raising=False)
+    assert run_cli(capsys, "build", "Ld:5")[0] == 0
+    monkeypatch.setenv("LATLAB_JOBS", "abc")
+    code, out, err = run_cli(capsys, "build", "Ld:5")
+    assert (code, out) == (2, "") and "LATLAB_JOBS" in err
+
+
 def test_jobs_beyond_any_pool_size(capsys):
     # --jobs N runs the rows on the caller and at most N - 1 forked
     # children, never more processes than rows, so a --jobs far beyond any

@@ -188,6 +188,10 @@ def test_hnf_idempotent_and_span_preserving(M):
 @settings(max_examples=300, deadline=None)
 @given(small_matrix)
 @example([[0, 2, 4], [0, 3, 1], [5, 0, 1]])  # pivot row swapped up, unequal entries reduced
+@example([[0, 1, 1], [2, 3, 5]])  # pivot swap of two rows holding the same columns 1 and 2
+@example([[2, 4, 6], [1, 2, 3], [0, 0, 1]])  # a row vanishes under Euclid
+@example([[1, 0, 3], [2, 5, 0]])  # fill-in into column 2, which the reduced row did not hold
+@example([[1, 5], [0, -3]])  # a negative pivot, with an entry above it to reduce
 def test_hnf_matches_the_dense_loop(M):
     assert hnf(M) == dense_hnf(M)
 
@@ -992,18 +996,24 @@ if __name__ == "__main__":
     # seconds of the spectrum.  Last, for the
     # three largest kernel lattices the benchmark builds, it prints n, the
     # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
-    # nonzeros, and the least CPU seconds of three runs of the kernel and of
-    # the Gram determinant, each next to its reference.
+    # nonzeros, the least CPU seconds of three runs of the kernel and of
+    # the Gram determinant, each next to its reference, and the HNF row
+    # operations of one kernel run.
     # Last, it recomputes the ten reference tables at --jobs 1 and prints
     # their CPU seconds and, for the span and the Sym2 rank passes in turn,
     # the fallbacks that the modular pass left to the HNF: their number,
-    # their rows x columns, and the CPU seconds of the HNF next to those of
-    # bareiss_rank on the same rows, whose rank it must match
+    # their rows x columns, the CPU seconds of the HNF next to those of
+    # bareiss_rank on the same rows, whose rank it must match, and the HNF
+    # row operations.  A row operation is one call of the add closure of
+    # _hnf_rows (A[i] += f * A[d]), counted by a profile hook on its code
+    # object, so the library runs unpatched; the counted run is a second,
+    # untimed one.
     import contextlib
     import io
     import json
     import sys
     import time
+    import types
 
     from test_cli_corpus import corpus_argvs
 
@@ -1011,6 +1021,25 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--work"]:
         sys.exit("usage: test_intlinalg.py --work")
+
+    hnf_add = next(code for code in intlinalg._hnf_rows.__code__.co_consts
+                   if isinstance(code, types.CodeType) and code.co_name == "add")
+
+    def hnf_row_ops(fn, *args):
+        """The calls of _hnf_rows's add while fn(*args) runs."""
+        ops = 0
+
+        def hook(frame, event, arg):
+            nonlocal ops
+            if event == "call" and frame.f_code is hnf_add:
+                ops += 1
+
+        sys.setprofile(hook)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return ops
 
     def eliminator_work(rows, cap):
         read = updates = 0
@@ -1142,23 +1171,27 @@ if __name__ == "__main__":
             "kernel_ref_cpu_s": cpu(dense_kernel_basis, n, cs.rows),
             "det_cpu_s": cpu(echelon_gram_det, basis),
             "det_ref_cpu_s": cpu(gram_det_by_bareiss, basis),
+            "hnf_row_ops": hnf_row_ops(kernel_basis, n, cs.rows),
         }), flush=True)
 
     fallbacks = {"span": [], "sym2": []}
-    hnf_cpu = []
+    hnf_cpu, hnf_ops = [], []
 
     def timed_hnf(rows, hnf_rows=intlinalg._hnf_rows):
+        rows = list(rows)  # _basis_columns passes an iterator, read twice here
         start = time.process_time()
         H = hnf_rows(rows)
         hnf_cpu.append(time.process_time() - start)
+        hnf_ops.append(hnf_row_ops(hnf_rows, rows))
         return H
 
     def watched(kind, fn, flattening):
         def call(items, cap):
             hnf_cpu.clear()
+            hnf_ops.clear()
             result = fn(items, cap)
             if hnf_cpu:
-                fallbacks[kind].append((dense(flattening(items)), hnf_cpu[0], result))
+                fallbacks[kind].append((dense(flattening(items)), hnf_cpu[0], hnf_ops[0], result))
             return result
         return call
 
@@ -1176,7 +1209,7 @@ if __name__ == "__main__":
                       "cpu_s": round(tables_cpu, 3)}), flush=True)
     for kind, found in fallbacks.items():
         shapes, ref_cpu = {}, 0.0
-        for M, _, result in found:
+        for M, _, _, result in found:
             shape = (len(M), len(M[0]) if M else 0)
             shapes[shape] = shapes.get(shape, 0) + 1
             start = time.process_time()
@@ -1187,6 +1220,7 @@ if __name__ == "__main__":
         print(json.dumps({
             "fallbacks": kind, "count": len(found),
             "rows_x_cols": {f"{r}x{c}": n for (r, c), n in sorted(shapes.items())},
-            "hnf_cpu_s": round(sum(cpu for _, cpu, _ in found), 4),
+            "hnf_cpu_s": round(sum(cpu for _, cpu, _, _ in found), 4),
+            "hnf_row_ops": sum(ops for _, _, ops, _ in found),
             "bareiss_rank_cpu_s": round(ref_cpu, 4),
         }), flush=True)
