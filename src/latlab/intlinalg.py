@@ -43,7 +43,7 @@ import random
 from bisect import bisect_left
 from itertools import combinations_with_replacement, compress, tee
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 Matrix = list[list[int]]
 
@@ -538,8 +538,10 @@ def krylov_min_poly(M, b=None, u=None) -> list[int]:
     highest degree first (monic).
 
     This is Wiedemann's method (Wiedemann 1986): the s_k come from sparse
-    products of A, whose rows are kept as their columns grouped by value,
-    with the Krylov vectors A^k b.  Berlekamp-Massey (Massey 1969) takes in
+    products of A with the Krylov vectors A^k b, where row i of a product
+    is the sum of the terms A[i][j] v[j] that one precomputed
+    operator.itemgetter per row gathers from v and its multiples by the
+    other values of A.  Berlekamp-Massey (Massey 1969) takes in
     one term at a time and keeps g, the shortest recurrence of the terms so
     far, of degree L.  b and u default to vectors drawn from a fixed
     pseudo-random generator, never the all-ones vector that is an
@@ -564,8 +566,14 @@ def krylov_min_poly(M, b=None, u=None) -> list[int]:
         b = [rng.randrange(p) for _ in range(n)]
     if u is None:
         u = [rng.randrange(p) for _ in range(n)]
-    parts = [(a, [[j for j, x in enumerate(row) if x == a] for row in M])
-             for a in sorted({x for row in M for x in row} - {0})]
+    # getters[i] gathers row i's terms from the Krylov vector, its multiples
+    # by the values of M other than 0 and 1, and a 0 read twice, so that a
+    # row with fewer than two terms still gives a tuple
+    scales = sorted({x for row in M for x in row} - {0, 1})
+    offset = {1: 0} | {a: n * t for t, a in enumerate(scales, 1)}
+    zero = n * len(offset)
+    getters = [itemgetter(*[offset[x] + j for j, x in enumerate(row) if x], zero, zero)
+               for row in M]
     vec = [x % p for x in b]
     krylov, seq = [], []
     # Berlekamp-Massey: C(x) is the connection polynomial, lowest degree first,
@@ -575,11 +583,9 @@ def krylov_min_poly(M, b=None, u=None) -> list[int]:
     checked = False
     for k in range(2 * n):
         if k:
-            get = vec.__getitem__
-            w = [0] * n
-            for a, cols in parts:
-                w = [x + a * sum(map(get, c)) for x, c in zip(w, cols)]
-            vec = [x % p for x in w]
+            terms = vec + [a * x for a in scales for x in vec]
+            terms.append(0)
+            vec = [sum(get(terms)) % p for get in getters]
         if k <= n:  # g(A) b needs A^k b for k <= L <= n only
             krylov.append(vec)
         seq.append(sum(map(mul, u, vec)) % p)

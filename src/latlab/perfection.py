@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, prod
+from operator import mul
 
 from . import families, intlinalg, lattice
 from .errors import SpecError
@@ -409,9 +411,16 @@ def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
     return [_neighbor_term(v, lat.rank, count) for v, count in zip(mvs.vectors, counts)]
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 @dataclass(frozen=True)
 class MinVectorGraph:
-    """Graph on pair representatives keyed by a scalar-product predicate."""
+    """Graph on pair representatives keyed by a scalar-product predicate.
+
+    The adjacency matrix is 0/1.  Its rows are also kept as ints, built once
+    on first use (``rows``), which ``degrees`` and ``srg_parameters`` read.
+    """
 
     vertices: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
@@ -420,8 +429,15 @@ class MinVectorGraph:
     def order(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def rows(self) -> list[int]:
+        """The adjacency rows as ints, bit j of row i set where j is a
+        neighbor of i; the 0/1 row, reversed, is the int's binary digits."""
+        return [int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in self.adjacency]
+
     def degrees(self) -> list[int]:
-        return [sum(row) for row in self.adjacency]
+        """The number of neighbors of each vertex, the set bits of its row."""
+        return [row.bit_count() for row in self.rows]
 
     def srg_parameters(self) -> tuple[int, int, int, int] | None:
         """(v, k, lambda, mu) when the graph is strongly regular, else None.
@@ -429,12 +445,12 @@ class MinVectorGraph:
         The graph is strongly regular when every vertex has the same degree
         k, every two adjacent vertices have the same number lambda of common
         neighbors, and every two non-adjacent vertices the same number mu.
-        Each adjacency row is one int, bit j set where j is a neighbor, so
-        the common neighbors of i and j are the set bits of rows[i] & rows[j].
-        The pairs are walked row by row, and the walk stops with None as
-        soon as the degrees, the lambdas or the mus take two values.
+        The common neighbors of i and j are the set bits of rows[i] &
+        rows[j], on the int rows the graph keeps (``rows``).  The pairs are
+        walked row by row, and the walk stops with None as soon as the
+        degrees, the lambdas or the mus take two values.
         """
-        rows = [sum(1 << j for j, a in enumerate(row) if a) for row in self.adjacency]
+        rows = self.rows
         degrees = {row.bit_count() for row in rows}
         lam: set[int] = set()
         mu: set[int] = set()
@@ -521,10 +537,14 @@ class MinVectorGraph:
 def _distinct_roots(coeffs, bound: int, known) -> list[int] | None:
     """The integers in [-bound, bound] outside known that are roots of coeffs
     (highest degree first) modulo intlinalg._CERT_PRIME, in decreasing order,
-    when coeffs is the product of t - root over them, else None."""
+    when coeffs is the product of t - root over them, else None.
+
+    Each candidate splits off at most one linear factor, so the scan stops
+    with None as soon as the candidates left, cand down to -bound, are fewer
+    than the degree still unsplit."""
     roots = []
     for cand in range(bound, -bound - 1, -1):
-        if len(coeffs) == 1:
+        if len(coeffs) == 1 or len(coeffs) > cand + bound + 2:
             break
         if cand not in known:
             quotient, remainder = _divide_linear(coeffs, cand)
@@ -561,18 +581,23 @@ def minvec_graph(mvs: MinimalVectorSet, product_value: int,
 
     With a base vector w, the vertex set drops +-w itself, representatives
     are re-signed so that <w, v_i> > 0, and pairs orthogonal to w are left
-    out (none occur in the intended equiangular construction).
+    out (none occur in the intended equiangular construction).  A zero base
+    vector, or one whose length is not the vectors', raises ValueError.
     """
     if base_vector is None:
         verts = [tuple(v) for v in mvs.vectors]
     else:
         w = tuple(base_vector)
+        if not any(w):
+            raise ValueError("base vector must be nonzero")
+        if any(len(v) != len(w) for v in mvs.vectors):
+            raise ValueError("base vector length does not match the vectors")
         wc = sign_canonical(w)
         verts = []
         for v in mvs.vectors:
             if v == wc:
                 continue
-            s = sum(a * b for a, b in zip(w, v))
+            s = sum(map(mul, w, v))
             if s > 0:
                 verts.append(v)
             elif s < 0:
@@ -582,8 +607,7 @@ def minvec_graph(mvs: MinimalVectorSet, product_value: int,
     for i in range(n):
         vi = verts[i]
         for j in range(i + 1, n):
-            s = sum(a * b for a, b in zip(vi, verts[j]))
-            if s == product_value:
+            if sum(map(mul, vi, verts[j])) == product_value:
                 adj[i][j] = adj[j][i] = 1
     return MinVectorGraph(tuple(verts), tuple(tuple(r) for r in adj))
 

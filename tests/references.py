@@ -8,8 +8,8 @@ from itertools import combinations, product
 from math import comb
 
 from latlab import intlinalg
-from latlab.lattice import MinimalVectorSet, square_patterns
-from latlab.perfection import minvec_graph
+from latlab.lattice import MinimalVectorSet, sign_canonical, square_patterns
+from latlab.perfection import MinVectorGraph, minvec_graph
 
 
 def identity(n):
@@ -322,6 +322,51 @@ def srg_by_matrix_identity(adjacency):
     if lam is None or mu is None:
         return None
     return (n, k, lam, mu)
+
+
+def minvec_graph_nested_loop(mvs, product_value, base_vector=None):
+    """minvec_graph by the nested loop of generator-expression inner
+    products over zip, which truncates a base vector of the wrong length."""
+    if base_vector is None:
+        verts = [tuple(v) for v in mvs.vectors]
+    else:
+        w = tuple(base_vector)
+        wc = sign_canonical(w)
+        verts = []
+        for v in mvs.vectors:
+            if v == wc:
+                continue
+            s = sum(a * b for a, b in zip(w, v))
+            if s > 0:
+                verts.append(v)
+            elif s < 0:
+                verts.append(tuple(-x for x in v))
+    n = len(verts)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        vi = verts[i]
+        for j in range(i + 1, n):
+            s = sum(a * b for a, b in zip(vi, verts[j]))
+            if s == product_value:
+                adj[i][j] = adj[j][i] = 1
+    return MinVectorGraph(tuple(verts), tuple(tuple(r) for r in adj))
+
+
+def distinct_roots_full_scan(coeffs, bound, known, p):
+    """The integers in [-bound, bound] outside known that are roots of coeffs
+    (highest degree first) modulo p, in decreasing order, each divided out
+    once, when they split coeffs, else None: every candidate is tried."""
+    roots = []
+    for cand in range(bound, -bound - 1, -1):
+        if cand in known or len(coeffs) == 1:
+            continue
+        out = [coeffs[0]]
+        for c in coeffs[1:]:
+            out.append((c + cand * out[-1]) % p)
+        if not out[-1]:
+            coeffs = out[:-1]
+            roots.append(cand)
+    return roots if len(coeffs) == 1 else None
 
 
 def orthogonality_degrees(mvs):

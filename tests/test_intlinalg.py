@@ -993,7 +993,9 @@ if __name__ == "__main__":
     # the distinct roots stripped from their minimal polynomials mod p,
     # whether the exact product ran (it runs when those roots split every
     # minimal polynomial), whether the spectrum is integral, and the CPU
-    # seconds of the spectrum.  Last, for the
+    # seconds of the spectrum, of minvec_graph, of degrees (the first call
+    # to read the graph's int rows, so it pays for building them) and of
+    # srg_parameters.  Last, for the
     # three largest kernel lattices the benchmark builds, it prints n, the
     # rank d, the k = n - d non-pivot columns of the HNF basis, the basis's
     # nonzeros, the least CPU seconds of three runs of the kernel and of
@@ -1133,6 +1135,14 @@ if __name__ == "__main__":
         })
         return result
 
+    def cpu_timed(name, fn):
+        def call(*args, **kwargs):
+            start = time.process_time()
+            result = fn(*args, **kwargs)
+            stage_cpu[name] = round(time.process_time() - start, 4)
+            return result
+        return call
+
     terms, stripped, seen = [], [], set()
     for argv in [*corpus_argvs(), ["graph", "LA:Z/16"]]:
         if argv[0] == "--format":
@@ -1140,15 +1150,22 @@ if __name__ == "__main__":
         if argv[0] != "graph" or tuple(argv) in seen:
             continue
         seen.add(tuple(argv))
-        spectra = []
+        spectra, stage_cpu = [], {}
+        graph_class = perfection.MinVectorGraph
         with (mock.patch.object(intlinalg, "krylov_min_poly", krylov_work),
               mock.patch.object(perfection, "_distinct_roots", roots_work),
-              mock.patch.object(perfection.MinVectorGraph, "spectrum", spectrum_work),
+              mock.patch.object(graph_class, "spectrum", spectrum_work),
+              mock.patch.object(perfection, "minvec_graph",
+                                cpu_timed("minvec_graph_cpu_s", perfection.minvec_graph)),
+              mock.patch.object(graph_class, "degrees",
+                                cpu_timed("degrees_cpu_s", graph_class.degrees)),
+              mock.patch.object(graph_class, "srg_parameters",
+                                cpu_timed("srg_parameters_cpu_s", graph_class.srg_parameters)),
               contextlib.redirect_stdout(io.StringIO()),
               contextlib.redirect_stderr(io.StringIO())):
             cli.main(argv)
         for record in spectra:
-            print(json.dumps(record), flush=True)
+            print(json.dumps(record | stage_cpu), flush=True)
 
     def cpu(fn, *args):
         times = []

@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import (
     bareiss_rank,
+    distinct_roots_full_scan,
+    minvec_graph_nested_loop,
     neighbor_counts_reference,
     orthogonality_degrees,
     spectrum_by_exact_roots,
@@ -19,6 +21,7 @@ from references import (
 from latlab import families, intlinalg, lattice, perfection, tables
 from latlab.errors import ConstructionError, SpecError
 from latlab.families import parse_family
+from latlab.lattice import MinimalVectorSet, sign_canonical
 from latlab.perfection import (
     _neighbor_counts,
     alpha_series,
@@ -633,6 +636,111 @@ def test_schlafli_graph():
                         zip(expected + [0], [0] + expected)]
     p = intlinalg._CERT_PRIME
     assert intlinalg.char_poly(graph.adjacency) == [c % p for c in expected]
+
+
+def test_minvec_graph_refuses_a_base_vector_of_the_wrong_length_or_zero():
+    # the 28 norm-3 vectors of T:3 have 7 coordinates
+    mvs = lattice.vectors_of_norm(families.build_family("T:3"), 3)
+    for base in ((1, 1, 1), (1, 1, 1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="length"):
+            minvec_graph(mvs, -1, base_vector=base)
+    with pytest.raises(ValueError, match="nonzero"):
+        minvec_graph(mvs, -1, base_vector=(0,) * 7)
+    with pytest.raises(ValueError, match="nonzero"):
+        minvec_graph(MinimalVectorSet(3, ()), -1, base_vector=())
+
+
+def _int_rows(adjacency):
+    return [sum(1 << j for j, a in enumerate(row) if a) for row in adjacency]
+
+
+@st.composite
+def graph_inputs(draw):
+    """Sign-canonical sets of small integer vectors, a product value in
+    -2..2 and, half the time, a base vector w; the set may then hold +-w
+    and a vector orthogonal to w."""
+    d = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-2, 2)] * d)
+    vectors = draw(st.lists(vector, max_size=12))
+    base = None
+    if draw(st.booleans()):
+        base = draw(vector.filter(any))
+        if draw(st.booleans()):
+            vectors.append(base)
+        if draw(st.booleans()):
+            vectors.append((base[1], -base[0]) + (0,) * (d - 2) if d > 1 else (0,))
+    mvs = MinimalVectorSet(0, tuple(sorted({sign_canonical(v) for v in vectors if any(v)})))
+    return mvs, draw(st.integers(-2, 2)), base
+
+
+_NORM_2 = MinimalVectorSet(2, ((0, 1, 1), (1, -1, 0), (1, 0, 1), (1, 1, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_inputs())
+@example((_NORM_2, 0, None))
+@example((_NORM_2, 2, None))  # no pair has product 2, every vector with itself
+@example((_NORM_2, 1, (-1, 1, 0)))  # -w in the set, (1, 1, 0) orthogonal to w
+def test_minvec_graph_matches_the_nested_loop(args):
+    mvs, product_value, base = args
+    graph = minvec_graph(mvs, product_value, base_vector=base)
+    reference = minvec_graph_nested_loop(mvs, product_value, base_vector=base)
+    assert graph.vertices == reference.vertices
+    assert graph.adjacency == reference.adjacency
+    assert graph.rows == _int_rows(reference.adjacency)
+    assert graph.degrees() == [sum(row) for row in reference.adjacency]
+
+
+def _monic_with_roots(roots, tail, p):
+    """The product of t - r over roots and the monic tail, mod p."""
+    coeffs = [1, *tail]
+    for r in roots:
+        coeffs = [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@st.composite
+def root_problems(draw):
+    """A prime, a bound, known roots and a monic polynomial mod the prime:
+    a product of linear factors t - r for r in [-bound, bound], some
+    repeated, times a random monic tail, which is often degree 0."""
+    p = draw(st.sampled_from([intlinalg._CERT_PRIME, 5, 7, 11, 13]))
+    bound = draw(st.integers(0, 6))
+    candidates = st.integers(-bound, bound)
+    known = draw(st.sets(candidates))
+    roots = draw(st.lists(candidates, max_size=8))
+    tail = draw(st.one_of(st.just([]), st.lists(st.integers(0, p - 1), max_size=4)))
+    return p, _monic_with_roots(roots, tail, p), bound, known
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_problems())
+@example((intlinalg._CERT_PRIME, _monic_with_roots([0, 1, -1, 2], [], intlinalg._CERT_PRIME),
+          1, set()))  # degree 4 above the 3 candidates from the start
+@example((intlinalg._CERT_PRIME, _monic_with_roots([3, 0, -3], [], intlinalg._CERT_PRIME),
+          3, set()))  # splits, the last root -bound
+@example((7, _monic_with_roots([2, -2], [], 7), 2, {1}))  # splits, the last root -bound
+@example((intlinalg._CERT_PRIME, [1], 4, {0}))  # the constant polynomial
+@example((13, [1], 0, set()))
+def test_distinct_roots_stop_early_with_the_full_scan_answer(problem):
+    p, coeffs, bound, known = problem
+    divisions = []
+    divide_linear = perfection._divide_linear
+
+    def recorded(coeffs, root):
+        divisions.append((len(coeffs) - 1, root))
+        return divide_linear(coeffs, root)
+
+    with (mock.patch.object(intlinalg, "_CERT_PRIME", p),
+          mock.patch.object(perfection, "_divide_linear", recorded)):
+        found = perfection._distinct_roots(coeffs, bound, known)
+    assert found == distinct_roots_full_scan(coeffs, bound, known, p)
+    # a candidate is tried only while the candidates left, itself down to
+    # -bound, are at least the degree still unsplit
+    for degree, cand in divisions:
+        assert 1 <= degree <= cand + bound + 1
+    if len(coeffs) - 1 > 2 * bound + 1:
+        assert divisions == []
 
 
 def test_orthogonality_profiles_distinguish_order9_groups():
