@@ -56,10 +56,6 @@ def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     e = len(modulus) - 1
-    if e < 1 or modulus[-1] % p == 0:
-        return False
-    if e == 1:
-        return True
     for deg in range(1, e // 2 + 1):
         for tail in product(range(p), repeat=deg):
             div = tuple(tail) + (1,)

@@ -128,8 +128,6 @@ def parse_group(text: str) -> FinAbelianGroup:
             factors.extend([p] * k)
             continue
         raise SpecError(f"cannot parse group component {part!r}")
-    if not factors:
-        raise SpecError(f"empty group spec {text!r}")
     return FinAbelianGroup(tuple(factors))
 
 

@@ -9,8 +9,9 @@ package is built on:
 * ``hnf`` - row-style Hermite normal form (canonical bases, row-span tests)
   over sparse rows, finding the rows that hold each column by a scan,
 * ``kernel_basis`` - integer kernels of mixed equality / congruence systems,
-* ``rank`` - exact ranks, the number of nonzero HNF rows, and
-  ``bareiss_det`` - determinants by fraction-free Bareiss elimination,
+* ``rank`` - exact ranks, the number of nonzero HNF rows; the package takes
+  its ranks from ``certified_rank``, and only tests and the tracer call it,
+* ``bareiss_det`` - determinants by fraction-free Bareiss elimination,
 * ``echelon_gram_det`` / ``gram_det`` - Gram determinants det(B B^t) from
   the pivot block of an echelon basis by sparse back-substitution, which
   leaves one k x k Bareiss determinant for its k non-pivot columns,
@@ -28,9 +29,9 @@ package is built on:
 * ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``krylov_min_poly`` - minimal polynomials modulo the 61-bit prime of the
-  rank certificate of Krylov sequences u A^k b, by sparse products and
-  Berlekamp-Massey; each divides the characteristic polynomial mod p, and
-  ``MinVectorGraph.spectrum`` certifies its integer roots exactly,
+  rank certificate of Krylov sequences u A^k b, A given by its sparse rows,
+  by sparse products and Berlekamp-Massey; each divides the characteristic
+  polynomial mod p, and ``MinVectorGraph.spectrum`` proves its integer roots,
 * ``char_poly`` - characteristic polynomials modulo the same prime, by
   Hessenberg reduction; nothing in the package calls it any more, but the
   tests check ``krylov_min_poly`` against it and the benchmark's tracer
@@ -309,9 +310,9 @@ def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     """(s, coords): the dimension s of the linear span of a sequence of
     vectors, known to be at most cap, and the vectors restricted to the s
     pivot columns of a basis of that span (_basis_columns), on which
-    restriction is injective.  An injective linear map changes no
-    symmetric-power rank, and the degree-k flattenings of the restricted
-    vectors use at most comb(s + k - 1, k) columns, the cap itself.
+    restriction is injective; no vectors give (0, []).  An injective linear
+    map changes no symmetric-power rank, and the degree-k flattenings of the
+    restricted vectors use at most comb(s + k - 1, k) columns, the cap itself.
     """
     # shortest-vector lists are sorted with the first nonzero entry positive,
     # so the vectors that use coordinate 0 come last: read last-first, the
@@ -320,7 +321,7 @@ def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     # built only as the pass reads them
     rows = ({i: x for i, x in enumerate(v) if x} for v in reversed(vectors))
     cols = set(_basis_columns(rows, cap))
-    keep = [c in cols for c in range(len(vectors[0]))]
+    keep = [c in cols for c in range(max(cols, default=-1) + 1)]
     return len(cols), [tuple(compress(v, keep)) for v in vectors]
 
 
@@ -532,10 +533,10 @@ def char_poly(M) -> list[int]:
     return polys[-1][::-1]
 
 
-def krylov_min_poly(M, b=None, u=None) -> list[int]:
-    """Residues modulo _CERT_PRIME of the coefficients of the minimal
-    polynomial g of the sequence s_k = u A^k b, for A the square matrix M,
-    highest degree first (monic).
+def krylov_min_poly(rows, b=None, u=None) -> list[int]:
+    """Residues mod _CERT_PRIME of the coefficients, highest degree first, of
+    the monic minimal polynomial g of s_k = u A^k b, A the n x n matrix of the
+    n sparse {column: value} rows; a column not in range(n) raises ValueError.
 
     This is Wiedemann's method (Wiedemann 1986): the s_k come from sparse
     products of A with the Krylov vectors A^k b, where row i of a product
@@ -549,17 +550,16 @@ def krylov_min_poly(M, b=None, u=None) -> list[int]:
 
     The minimal polynomial of the whole sequence has degree at most n, so
     after 2n terms g is that polynomial, which divides the minimal
-    polynomial of b under A mod p, and with it det(t*I - M) mod p.  The
+    polynomial of b under A mod p, and with it det(t*I - A) mod p.  The
     sequence stops earlier only when g(A) b = 0, checked from the stored
     Krylov vectors after a term that g predicted.  Then the minimal
     polynomial of b divides g, and as it generates the terms so far its
     degree is at least L: it is g.  So is the polynomial of the 2n terms,
     which divides it and generates the same terms.
     """
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("minimal polynomial needs a square matrix")
+    n = len(rows)
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError("a column lies outside the n x n matrix")
     p = _CERT_PRIME
     rng = random.Random(0)
     if b is None:
@@ -567,13 +567,13 @@ def krylov_min_poly(M, b=None, u=None) -> list[int]:
     if u is None:
         u = [rng.randrange(p) for _ in range(n)]
     # getters[i] gathers row i's terms from the Krylov vector, its multiples
-    # by the values of M other than 0 and 1, and a 0 read twice, so that a
+    # by the values of A other than 0 and 1, and a 0 read twice, so that a
     # row with fewer than two terms still gives a tuple
-    scales = sorted({x for row in M for x in row} - {0, 1})
+    scales = sorted({x for row in rows for x in row.values()} - {0, 1})
     offset = {1: 0} | {a: n * t for t, a in enumerate(scales, 1)}
     zero = n * len(offset)
-    getters = [itemgetter(*[offset[x] + j for j, x in enumerate(row) if x], zero, zero)
-               for row in M]
+    getters = [itemgetter(*[offset[x] + j for j, x in row.items() if x], zero, zero)
+               for row in rows]
     vec = [x % p for x in b]
     krylov, seq = [], []
     # Berlekamp-Massey: C(x) is the connection polynomial, lowest degree first,

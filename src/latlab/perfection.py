@@ -29,8 +29,8 @@ from .lattice import Lattice, MinimalVectorSet, sign_canonical
 
 
 def _sym_power_rank(vecs, k: int, span: int) -> int:
-    """Rank of the degree-k symmetric-power flattenings of vectors whose
-    linear span has dimension span, which caps it at comb(span + k - 1, k)."""
+    """Rank of the degree-k symmetric-power flattenings of vectors spanning
+    at most span dimensions, which caps it at comb(span + k - 1, k)."""
     return intlinalg.certified_rank(intlinalg.sym_power_rows(vecs, k), comb(span + k - 1, k))
 
 
@@ -121,10 +121,10 @@ def alpha_series(vectors, kmax: int) -> AlphaSeries:
     The k-th row of the flattening matrix evaluates every degree-k monomial
     at a vector, so the computed rank is the dimension of degree-k forms
     restricted to the point set; the vectors are first cut to coordinates
-    of their span (intlinalg.span_coordinates), which changes no rank.  The
-    series is flagged stabilized when the last value reaches the number of
-    distinct lines through the vectors, after which it stays constant
-    forever.
+    of their span (intlinalg.span_coordinates), which changes no rank, and
+    that pass gives alpha_1, the span's dimension.  The series is flagged
+    stabilized when the last value reaches the number of distinct lines
+    through the vectors, after which it stays constant forever.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs or kmax < 1:
@@ -132,9 +132,9 @@ def alpha_series(vectors, kmax: int) -> AlphaSeries:
     dims = [1]
     span, coords = intlinalg.span_coordinates(vecs, len(vecs[0]))
     for k in range(1, kmax + 1):
-        if comb(len(coords[0]) + k - 1, k) > _ALPHA_BUDGET:
+        if comb(span + k - 1, k) > _ALPHA_BUDGET:
             raise ValueError("symmetric power budget exceeded")
-        dims.append(_sym_power_rank(coords, k, span))
+        dims.append(span if k == 1 else _sym_power_rank(coords, k, span))
     return AlphaSeries(tuple(dims), stabilized=dims[-1] == _distinct_line_count(vecs))
 
 
@@ -154,19 +154,23 @@ def hyperplane_split_check(vectors, w) -> HyperplaneSplit:
     Checks that (a) the vectors inside the hyperplane orthogonal to w form a
     perfect set there, and (b) the vectors outside it span the whole space.
     When both hold the full set is perfect; that conclusion is re-verified by
-    a direct rank computation before returning.
+    a direct rank computation before returning.  All ranks are taken on one
+    span pass's coordinates; a bad normal (zero, wrong length) raises ValueError.
     """
     if not any(w):
         raise ValueError("hyperplane normal must be nonzero")
     vecs = [tuple(v) for v in vectors]
-    d = intlinalg.rank([list(v) for v in vecs])
+    if any(len(v) != len(w) for v in vecs):
+        raise ValueError("hyperplane normal length does not match the vectors")
+    d, coords = intlinalg.span_coordinates(vecs, len(w))
     section, complement = [], []
-    for v in vecs:
-        (section if sum(a * b for a, b in zip(v, w)) == 0 else complement).append(v)
-    section_perfect = bool(section) and sym_square_rank(section) == comb(d, 2)
-    complement_spans = bool(complement) and intlinalg.rank([list(v) for v in complement]) == d
-    result = HyperplaneSplit(section_perfect, complement_spans)
-    if result.hypotheses_hold and sym_square_rank(vecs) != comb(d + 1, 2):
+    for v, c in zip(vecs, coords):
+        (section if sum(map(mul, v, w)) == 0 else complement).append(c)
+    # the section spans at most d - 1 dimensions once a vector is off the hyperplane
+    result = HyperplaneSplit(
+        bool(section) and _sym_power_rank(section, 2, d - bool(complement)) == comb(d, 2),
+        bool(complement) and _sym_power_rank(complement, 1, d) == d)
+    if result.hypotheses_hold and _sym_power_rank(coords, 2, d) != comb(d + 1, 2):
         raise RuntimeError("split criterion violated")
     return result
 
@@ -398,9 +402,11 @@ def neighbor_stats(lat: Lattice, v) -> NeighborStats:
     Neighbors are shortest vectors w with <v, w> = 2; each +- pair holds at
     most one.  gamma and delta are the normalized center and diameter of the
     pattern decomposition of v, and the main term is 2d(min(gamma, 1-gamma)
-    + 2 - delta).
+    + 2 - delta).  A v not among the norm-4 vectors raises ValueError.
     """
     vecs = lattice.vectors_of_norm(lat, 4).vectors
+    if sign_canonical(v) not in vecs:
+        raise ValueError("neighbor stats need a shortest vector of the lattice")
     return _neighbor_term(v, lat.rank, _neighbor_counts([v], vecs)[0])
 
 
@@ -489,18 +495,19 @@ class MinVectorGraph:
         The multiplicities come from the traces of the partial products
         P_k of A - lambda_i I over the first k roots found: tr P_k sums
         m_lambda_j prod_(i<k) (lambda_j - lambda_i) over j >= k, a triangular
-        system whose first row, tr P_0 = n, makes them sum to n.
+        system whose first row, tr P_0 = n, makes them sum to n.  Every step
+        reads the sparse {column: value} rows of A, built once per call.
         """
-        A = self.adjacency
         n = self.order
+        rows = [{j: a for j, a in enumerate(row) if a} for row in self.adjacency]
         p = intlinalg._CERT_PRIME
-        bound = max((sum(map(abs, row)) for row in A), default=0)
+        bound = max((sum(map(abs, row.values())) for row in rows), default=0)
         if 2 * bound >= p:
             raise ArithmeticError("the Gershgorin bound needs a larger prime")
         roots: list[int] = []
         start = unit = None
         while True:
-            found = _distinct_roots(intlinalg.krylov_min_poly(A, start, unit), bound, roots)
+            found = _distinct_roots(intlinalg.krylov_min_poly(rows, start, unit), bound, roots)
             if found is None:
                 return None
             roots += found
@@ -509,12 +516,11 @@ class MinVectorGraph:
             # 2**(b - 1) in absolute value, so a row is zero exactly when its
             # integer is, and every entry can be read back
             b = len(roots) * (2 * bound).bit_length() + 2
-            terms = [[(j, a) for j, a in enumerate(row) if a] for row in A]
             P = [1 << (b * i) for i in range(n)]
             traces = []
             for lam in roots:
                 traces.append(sum(_digit(Pi, i, b) for i, Pi in enumerate(P)))
-                P = [sum(a * P[j] for j, a in term) - lam * Pi for term, Pi in zip(terms, P)]
+                P = [sum(a * P[j] for j, a in Ai.items()) - lam * Pi for Ai, Pi in zip(rows, P)]
             row = next((Pi for Pi in P if Pi), None)
             if row is None:
                 break

@@ -9,7 +9,7 @@ from math import comb
 
 from latlab import intlinalg
 from latlab.lattice import MinimalVectorSet, sign_canonical, square_patterns
-from latlab.perfection import MinVectorGraph, minvec_graph
+from latlab.perfection import HyperplaneSplit, MinVectorGraph, minvec_graph, sym_square_rank
 
 
 def identity(n):
@@ -367,6 +367,27 @@ def distinct_roots_full_scan(coeffs, bound, known, p):
             coeffs = out[:-1]
             roots.append(cand)
     return roots if len(coeffs) == 1 else None
+
+
+def hyperplane_split_check_by_dense_ranks(vectors, w):
+    """perfection.hyperplane_split_check as it was before its ranks came from
+    one span pass: the dense HNF rank of the vectors and of the complement,
+    and sym_square_rank, with its own span pass, of the section and of the
+    whole set.  Its products zip v with w, so a normal of the wrong length
+    is cut, not refused."""
+    if not any(w):
+        raise ValueError("hyperplane normal must be nonzero")
+    vecs = [tuple(v) for v in vectors]
+    d = intlinalg.rank([list(v) for v in vecs])
+    section, complement = [], []
+    for v in vecs:
+        (section if sum(a * b for a, b in zip(v, w)) == 0 else complement).append(v)
+    section_perfect = bool(section) and sym_square_rank(section) == comb(d, 2)
+    complement_spans = bool(complement) and intlinalg.rank([list(v) for v in complement]) == d
+    result = HyperplaneSplit(section_perfect, complement_spans)
+    if result.hypotheses_hold and sym_square_rank(vecs) != comb(d + 1, 2):
+        raise RuntimeError("split criterion violated")
+    return result
 
 
 def orthogonality_degrees(mvs):

@@ -264,6 +264,9 @@ def test_bad_jobs_value(capsys):
     ("nope",),
     ("minvec", "Ld:5"),
     ("--format", "xml", "build", "Ld:5"),
+    # no norm-1 vectors, so only the command's own length check refuses it
+    ("graph", "Ld:8", "--norm", "1", "--base-vector", "1,1"),
+    ("build", "LAsub:Z/11+Z/11:drop=1,2,3"),  # three components for two factors
 ])
 def test_malformed_values_exit_2(capsys, monkeypatch, argv):
     name, _, value = (argv[0] if argv else "").partition("=")

@@ -136,6 +136,8 @@ def test_jacobi_symbol():
     for p in (7, 11, 13, 17, 19, 23):
         for a in range(1, p):
             assert jacobi(a, p) == (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+    with pytest.raises(ValueError, match="odd positive n"):
+        jacobi(1, 4)
 
 
 def test_craig_closed_forms():

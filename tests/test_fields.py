@@ -145,6 +145,13 @@ def test_modulus_validation():
         FiniteField(4, 1, (0, 1))  # 4 not prime
     with pytest.raises(SpecError):
         FiniteField(2, 2, (0, 0, 1))  # x^2 reducible
+    with pytest.raises(SpecError, match="degree must be positive"):
+        FiniteField(2, 0, (1,))
+    # 2x^2 + 1 = 2(x - 1)(x + 1) is reducible too, but is refused as not monic
+    with pytest.raises(SpecError, match="monic"):
+        FiniteField(3, 2, (1, 0, 2))
+    with pytest.raises(ZeroDivisionError):
+        field_for_order(9).inv((0, 0))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ def test_parse_group_forms():
         parse_group("Z/1")
     with pytest.raises(SpecError):
         parse_group("F4^2")
+    with pytest.raises(SpecError, match="exponent must be positive"):
+        parse_group("F2^0")
+    with pytest.raises(ValueError, match="at least 2"):
+        FinAbelianGroup((1,))
 
 
 def test_factorize():
@@ -108,6 +112,8 @@ def test_is_sidon_examples():
     bad = [(0,), (1,), (2,)]  # 0 + 2 = 1 + 1
     assert is_sidon(bad, z7) is False
     assert _sidon_brute_force(bad, z7) is False
+    with pytest.raises(ValueError, match="distinct"):
+        is_sidon([(0,), (1,), (0,)], z7)
 
 
 def test_is_sidon_inverse_pairs_fails_moment_curve_holds():
@@ -149,3 +155,8 @@ def test_element_labels_roundtrip():
     assert z.parse_element("7") == (7,)
     big = FinAbelianGroup((12, 5))
     assert big.parse_element(big.label((11, 3))) == (11, 3)
+    with pytest.raises(ValueError, match="component count"):
+        big.element((1, 2, 3))
+    # the label's own check, a SpecError, before element's ValueError
+    with pytest.raises(SpecError, match="wrong component count"):
+        parse_group("Z/11+Z/11").parse_element("1,2,3")

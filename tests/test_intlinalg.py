@@ -234,6 +234,11 @@ def test_bareiss_det_matches_leibniz(M):
     assert bareiss_det(M) == _leibniz_det(M)
 
 
+def test_bareiss_det_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        bareiss_det([[1, 2]])
+
+
 _P = intlinalg._CERT_PRIME
 
 
@@ -577,6 +582,12 @@ def _residues(coeffs):
     return [c % _P for c in coeffs]
 
 
+def _sparse_rows(M):
+    """The {column: value} rows of a dense matrix, as krylov_min_poly takes
+    them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
 def test_char_poly_examples():
     assert char_poly([[0, 0], [0, 0]]) == [1, 0, 0]
     assert char_poly([[1, 0], [0, 1]]) == [1, _P - 2, 1]
@@ -702,7 +713,7 @@ def test_krylov_min_poly_divides_the_characteristic_polynomial(M, seed):
     rng = random.Random(seed)
     b = [rng.randrange(-9, 10) for _ in range(n)]
     u = [rng.randrange(_P) for _ in range(n)]
-    g = krylov_min_poly(M, b, u)
+    g = krylov_min_poly(_sparse_rows(M), b, u)
     assert g[0] == 1 and _divides(g, char_poly(M))
     # a random 61-bit u loses nothing of b, but for odds of n / p
     assert _at(g, M, b) == [0] * n
@@ -714,7 +725,7 @@ def test_krylov_min_poly_divides_the_characteristic_polynomial(M, seed):
     assert g == sequence_min_poly(seq, _P)
     # the default start vectors give, but for the same odds, the minimal
     # polynomial of M itself
-    g = krylov_min_poly(M)
+    g = krylov_min_poly(_sparse_rows(M))
     assert _divides(g, char_poly(M))
     assert _residues(sum(poly_eval_matrix(g, M), [])) == [0] * (n * n)
 
@@ -733,11 +744,13 @@ def test_krylov_min_poly_stops_once_g_annihilates_b():
     Q4 = [[int(bin(i ^ j).count("1") == 1) for j in range(16)] for i in range(16)]
     rng = random.Random(1)
     u = Counted(rng.randrange(_P) for _ in range(16))
-    g = krylov_min_poly(Q4, [1] + [0] * 15, u)
+    g = krylov_min_poly(_sparse_rows(Q4), [1] + [0] * 15, u)
     assert g == _residues([1, 0, -20, 0, 64, 0])  # t (t^2 - 4) (t^2 - 16)
     assert Counted.terms == 11
-    with pytest.raises(ValueError):
-        krylov_min_poly([[1, 2, 3], [4, 5, 6]])
+    # a column outside the n x n matrix, as a dense 2 x 3 matrix would give
+    for rows in ([{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}], [{-1: 1}]):
+        with pytest.raises(ValueError, match="outside"):
+            krylov_min_poly(rows)
 
 
 def lucas_lehmer(e):
@@ -1103,13 +1116,13 @@ if __name__ == "__main__":
             self.reads += 1
             return super().__iter__()
 
-    def krylov_work(M, b=None, u=None, krylov_min_poly=intlinalg.krylov_min_poly):
+    def krylov_work(rows, b=None, u=None, krylov_min_poly=intlinalg.krylov_min_poly):
         if b is None:
             rng = random.Random(0)  # the draws of krylov_min_poly's defaults
-            b = [rng.randrange(_P) for _ in M]
-            u = [rng.randrange(_P) for _ in M]
+            b = [rng.randrange(_P) for _ in rows]
+            u = [rng.randrange(_P) for _ in rows]
         u = Counted(u)
-        g = krylov_min_poly(M, b, u)
+        g = krylov_min_poly(rows, b, u)
         terms.append(u.reads)
         return g
 

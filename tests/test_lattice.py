@@ -81,6 +81,19 @@ def test_minimum_exceeds_cap():
         minimum(lat, 5)
 
 
+def test_input_checks():
+    with pytest.raises(ValueError, match="length does not match"):
+        _cs(2, [((1, 1, 1), 0)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _cs(2, [((1, 1), -3)])
+    lat = families.build_family("Ld:7")
+    with pytest.raises(ValueError, match="norm must be positive"):
+        vectors_of_norm(lat, 0)
+    with pytest.raises(ValueError, match="search cap must be positive"):
+        minimum(lat, 0)
+    assert sign_canonical((0, 0)) == (0, 0)
+
+
 def test_contains_examples():
     lat = families.build_family("Ld:7")
     assert contains(lat, (1, -1, 0, 0, 0, -1, 1, 0, 0))

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb, isqrt
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from references import (
     bareiss_rank,
     distinct_roots_full_scan,
+    hyperplane_split_check_by_dense_ranks,
     minvec_graph_nested_loop,
     neighbor_counts_reference,
     orthogonality_degrees,
@@ -44,6 +46,8 @@ MEASURED_NEIGHBOR_DEVIATION = Fraction(898, 41)
 def test_sym_square_rank_trivial():
     assert sym_square_rank([(1, 0), (0, 1), (1, 1)]) == 3
     assert sym_square_rank([(1, 0), (0, 1)]) == 2
+    with pytest.raises(ValueError, match="at least one vector"):
+        sym_square_rank([])
 
 
 def test_sym_square_rank_L6_L7():
@@ -169,6 +173,12 @@ def test_alpha_series_budget():
         alpha_series(units, kmax=5)
 
 
+def test_alpha_series_needs_vectors_and_a_positive_kmax():
+    for vecs, kmax in (([], 2), ([(1, 0)], 0)):
+        with pytest.raises(ValueError, match="kmax >= 1"):
+            alpha_series(vecs, kmax)
+
+
 def test_hyperplane_split_checks():
     lat8 = families.build_family("Ld:8")
     vecs8 = lattice.vectors_of_norm(lat8, 4).vectors
@@ -195,6 +205,89 @@ def test_hyperplane_split_soundness_sweep():
         res = hyperplane_split_check(vecs, (1,) + (0,) * (d + 1))
         if res.hypotheses_hold:
             assert perfection_report(lat).pd == 0
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def split_inputs(draw):
+    """Up to 10 vectors of one length n <= 5 with entries -2..2, and a
+    normal w of that length with entries -2..2.  Half the sets are drawn
+    from a hyperplane of Z^n, so they do not span it; the normal may be
+    zero, and a third of the time every vector is made orthogonal to it."""
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    w = draw(vector)
+    vecs = draw(st.lists(vector, max_size=10))
+    if draw(st.booleans()):
+        vecs = [v[:-1] + (0,) for v in vecs]
+    if any(w) and draw(st.integers(0, 2)) == 0:
+        # the products w_j e_i - w_i e_j and the drawn vectors orthogonal to w
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        vecs = [v for v in vecs if not sum(map(mul, v, w))]
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else ():
+            vecs.append(tuple(w[j] if k == i else -w[i] if k == j else 0 for k in range(n)))
+    return vecs, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_inputs())
+@example(([], (1, 0)))  # no vectors
+@example(([(1, 1, 0), (2, 2, 0), (1, -1, 0)], (0, 0, 1)))  # orthogonal, not spanning
+@example(([(1, 0), (0, 1), (1, 1)], (1, -1)))  # perfect in the plane
+@example(([(0, 0), (1, 0)], (0, 1)))  # the zero vector in the section
+@example(([(1, 0)], (0, 0)))  # a zero normal
+def test_hyperplane_split_matches_the_dense_ranks(case):
+    vecs, w = case
+    assert (_outcome(hyperplane_split_check, vecs, w)
+            == _outcome(hyperplane_split_check_by_dense_ranks, vecs, w))
+
+
+def test_hyperplane_split_matches_the_dense_ranks_on_the_acceptance_sweep():
+    for tag in ("Ld", "Od"):
+        for d in range(8, 13):
+            vecs = lattice.vectors_of_norm(families.build_family(f"{tag}:{d}"), 4).vectors
+            n = len(vecs[0])
+            for w in ((1,) + (0,) * (n - 1), (1,) * n):
+                assert (hyperplane_split_check(vecs, w)
+                        == hyperplane_split_check_by_dense_ranks(vecs, w)), (tag, d, w)
+
+
+def test_hyperplane_split_and_alpha_series_run_one_span_pass(monkeypatch):
+    # every rank on the span pass's coordinates: one span_coordinates call,
+    # no dense rank, and alpha_1 read off the span pass, so the Sym^k ranks
+    # are certified_rank's for k = 2..kmax only
+    span = mock.Mock(wraps=intlinalg.span_coordinates)
+    ranks = mock.Mock(wraps=intlinalg.certified_rank)
+    monkeypatch.setattr(intlinalg, "span_coordinates", span)
+    monkeypatch.setattr(intlinalg, "certified_rank", ranks)
+    monkeypatch.setattr(intlinalg, "rank", mock.Mock(side_effect=AssertionError("dense rank")))
+    vecs = lattice.vectors_of_norm(families.build_family("Ld:8"), 4).vectors
+    assert hyperplane_split_check(vecs, (1,) + (0,) * 9).hypotheses_hold
+    assert span.call_count == 1
+    # the section's Sym2 rank, the complement's span and the whole Sym2 rank
+    assert [call.args[1] for call in ranks.call_args_list] == [comb(8, 2), 8, comb(9, 2)]
+    span.reset_mock()
+    ranks.reset_mock()
+    assert alpha_series(vecs, kmax=3).dims[:3] == (1, 8, 36)
+    assert span.call_count == 1
+    assert [call.args[1] for call in ranks.call_args_list] == [comb(9, 2), comb(10, 3)]
+
+
+def test_hyperplane_split_refuses_a_normal_of_the_wrong_length_or_zero():
+    # the 34 norm-4 vectors of Ld:7 have 9 coordinates
+    vecs = lattice.vectors_of_norm(families.build_family("Ld:7"), 4).vectors
+    for w in ((1,), (1,) * 8, (1,) * 10):
+        with pytest.raises(ValueError, match="length"):
+            hyperplane_split_check(vecs, w)
+    with pytest.raises(ValueError, match="nonzero"):
+        hyperplane_split_check(vecs, (0,) * 9)
 
 
 def test_scan_D_base_and_a4():
@@ -338,6 +431,9 @@ def test_pattern_decompose():
         pattern_decompose((1, -1, 1, -1))
     with pytest.raises(ValueError, match="pattern"):
         pattern_decompose((1, 1, -1, -1))
+    # the signs fit, the spacing does not: the last gap 2 differs from alpha 1
+    with pytest.raises(ValueError, match="pattern"):
+        pattern_decompose((1, -1, -1, 0, 1))
 
 
 def test_all_L_d_norm4_vectors_are_pattern_shaped():
@@ -393,6 +489,23 @@ def test_neighbor_counts_refuse_other_shapes():
             _neighbor_counts([good], [good, bad])
         with pytest.raises(ValueError, match="four \\+-1 entries"):
             _neighbor_counts([bad], [good])
+
+
+def test_neighbor_stats_refuse_a_vector_outside_the_shortest_vectors():
+    # on Ld:7, whose 34 norm-4 vectors have 9 coordinates: a vector of the
+    # wrong length, a lattice vector of norm 6 and a norm-4 vector outside
+    # the lattice
+    lat = families.build_family("Ld:7")
+    outside = (1, 1, 1, 1, 0, 0, 0, 0, 0)
+    assert not lattice.contains(lat, outside)
+    norm6 = (0, 0, 0, 0, 0, 0, 1, -2, 1)
+    assert lattice.contains(lat, norm6)
+    for v in ((1, -1, -1, 1), norm6, outside):
+        with pytest.raises(ValueError, match="shortest vector of the lattice"):
+            neighbor_stats(lat, v)
+    # a shortest vector is accepted with either sign
+    v = lattice.vectors_of_norm(lat, 4).vectors[0]
+    assert neighbor_stats(lat, v) == neighbor_stats(lat, tuple(-x for x in v))
 
 
 def test_neighbor_stats_single_vector_d30():
@@ -545,9 +658,9 @@ def _from_all_ones(starts):
     start it is given."""
     krylov_min_poly = intlinalg.krylov_min_poly
 
-    def call(M, b=None, u=None):
+    def call(rows, b=None, u=None):
         starts.append(b)
-        return krylov_min_poly(M, [1] * len(M) if b is None else b, u)
+        return krylov_min_poly(rows, [1] * len(rows) if b is None else b, u)
 
     return call
 
@@ -602,7 +715,7 @@ def test_spectrum_raises_on_a_multiplicity_that_is_not_positive():
     # then give 0 its multiplicity 0
     k4 = _circulant(4, (1, 2))
     wrong = [c % intlinalg._CERT_PRIME for c in (1, -2, -3, 0)]  # (t - 3)(t + 1) t
-    with (mock.patch.object(intlinalg, "krylov_min_poly", lambda M, b=None, u=None: wrong),
+    with (mock.patch.object(intlinalg, "krylov_min_poly", lambda rows, b=None, u=None: wrong),
           pytest.raises(ArithmeticError)):
         k4.spectrum()
 
@@ -763,6 +876,8 @@ def test_parity_check():
     assert parity_check_LF2k(2) is True
     assert parity_check_LF2k(3) is True
     assert parity_check_LF2k(4) is False
+    with pytest.raises(ValueError, match="k >= 2"):
+        parity_check_LF2k(1)
 
 
 def test_perfection_json_shape():

@@ -1,7 +1,10 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import latlab
+import latlab.cli
+import latlab.tables
 
 
 def test_package_has_no_assert_statements():
@@ -76,3 +79,16 @@ def test_every_private_helper_has_a_caller():
         if not references.get(name, set()) - {id(node) for node in ast.walk(definition)}
     ]
     assert not found, found
+
+
+def test_every_traced_target_is_defined_where_the_tracer_patches_it():
+    # the benchmark's tracer replaces each (owner, attribute) of its TARGETS
+    # and reads the original from the owner's __dict__, so a helper deleted
+    # or moved out of its module breaks traced benchmark runs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.TARGETS
+               if attr not in vars(tracer._resolve(latlab, owner))]
+    assert tracer.TARGETS and not missing, missing
