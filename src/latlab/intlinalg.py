@@ -15,13 +15,14 @@ package is built on:
 * ``echelon_gram_det`` / ``gram_det`` - Gram determinants det(B B^t) from
   the pivot block of an echelon basis by sparse back-substitution, which
   leaves one k x k Bareiss determinant for its k non-pivot columns,
-* ``certified_rank`` - exact ranks of sparse rows under a known cap,
-  certified by one sparse elimination modulo a prime that keeps its pivot
-  rows in reduced row-echelon form (1 in their own column, 0 in every other
-  pivot column: nothing chains, so a row is reduced in one pass by the
-  pivots in its support, with one mod per touched column) when it finds cap
-  pivots, else by the HNF; a degree-k flattening of vectors spanning s
-  dimensions has the cap comb(s + k - 1, k),
+* ``certified_rank`` - exact ranks of sparse rows under a known cap, from
+  one sparse elimination modulo a prime that keeps its pivot rows in
+  reduced row-echelon form (1 in their own column, 0 in every other pivot
+  column: nothing chains, so a row is reduced in one pass by the pivots in
+  its support, with one mod per touched column), certified when it finds
+  cap pivots or when its pivot rows, lifted to Q by rational
+  reconstruction, give every row exactly, else by the HNF; a degree-k
+  flattening of vectors spanning s dimensions has the cap comb(s + k - 1, k),
 * ``span_coordinates`` - the dimension s of the span of vectors and the
   vectors projected onto the s pivot columns of that elimination, which is
   injective on the span, so their degree-k flattenings use at most
@@ -43,7 +44,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from itertools import combinations_with_replacement, compress, tee
-from math import prod
+from math import isqrt, lcm, prod
 from operator import itemgetter, mul
 
 Matrix = list[list[int]]
@@ -238,11 +239,11 @@ def _reduce(row, pivots: dict[int, dict[int, int]]) -> dict[int, int]:
     return {c: y for c, x in acc.items() if (y := x % p)}
 
 
-def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
-    """Pivot columns, in creation order, of a reduced row-echelon elimination
-    of sparse {column: value} rows modulo _CERT_PRIME; it stops once cap
-    pivots are found.  Their number is the rank modulo the prime, which
-    never exceeds the rank over Q.
+def _pivot_columns_mod_p(rows, cap: int) -> dict[int, dict[int, int]]:
+    """Pivot rows, by pivot column in creation order and without their 1
+    there, of a reduced row-echelon elimination of sparse {column: value}
+    rows modulo _CERT_PRIME; it stops once cap pivots are found.  Their
+    number is the rank modulo the prime, which never exceeds the rank over Q.
 
     Each incoming row is reduced in one pass (_reduce).  A row left nonzero
     takes its lowest column as pivot, scaled to 1 there, and that column is
@@ -274,7 +275,41 @@ def _pivot_columns_mod_p(rows, cap: int) -> list[int]:
         pivots[col] = prow
         if len(pivots) == cap:
             break
-    return list(pivots)
+    return pivots
+
+
+def _spans_rows(pivots: dict[int, dict[int, int]], rows) -> bool:
+    """Whether every sparse row R is sum_c R[c] P_c, P_c the pivot row of c
+    (_pivot_columns_mod_p, 1 at c) with each entry x lifted to n/d by
+    rational reconstruction (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 5.10): n is the first remainder within isqrt((p - 1) / 2) of
+    the extended Euclidean algorithm on (p, x) and d, with n = d x mod p,
+    its cofactor, and a cofactor beyond that bound gives False.  The pivot
+    columns agree by construction; the others are compared in integers,
+    every P_c scaled by the lcm L of the denominators."""
+    p = _CERT_PRIME
+    bound = isqrt((p - 1) // 2)
+    lifted = {}
+    for c, prow in pivots.items():
+        lifted[c] = fracs = []
+        for j, x in prow.items():
+            r0, r1, t0, t1 = p, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(t1) > bound:
+                return False
+            fracs.append((j, r1 if t1 > 0 else -r1, abs(t1)))
+    L = lcm(*(d for fracs in lifted.values() for _, _, d in fracs))
+    scaled = {c: [(j, n * (L // d)) for j, n, d in fracs] for c, fracs in lifted.items()}
+    for row in rows:
+        acc = {c: L * x for c, x in row.items() if c not in scaled}
+        for c, x in row.items():
+            for j, y in scaled.get(c, ()):
+                acc[j] = acc.get(j, 0) - x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _basis_columns(rows, cap: int) -> list[int]:
@@ -282,37 +317,41 @@ def _basis_columns(rows, cap: int) -> list[int]:
     {column: value} rows, any iterable of them, whose rank is at most cap;
     their number is the rank.
 
-    The rank modulo a prime never exceeds the rank over Q, which never
-    exceeds the cap, so one reduced row-echelon elimination modulo a fixed
-    61-bit prime (_pivot_columns_mod_p) certifies the rank whenever it finds
-    cap pivots, whatever their order, and its pivot columns are returned;
-    otherwise the leading columns of the nonzero HNF rows (_hnf_rows) are.
-    Either way a basis of the row space cut to those columns is invertible
-    over Q, so the cut is injective: the rows that made the modular pivots
-    (invertible modulo the prime), or the HNF rows (triangular with a
-    nonzero diagonal).
+    The rows that made the r pivots of one reduced row-echelon elimination
+    modulo a fixed 61-bit prime (_pivot_columns_mod_p) are independent
+    modulo it, so over Q: the rank is at least r, and r = cap certifies it.
+    Below the cap the pass has read every row, and if its pivot rows, lifted
+    to Q, give each row R as sum_c R[c] P_c (_spans_rows), the rank is at
+    most r, so r.  A basis of the row space (the rows that made the pivots
+    at the cap, span{P_c} below it) cut to the pivot columns is then
+    invertible over Q, so the cut is injective.  Where a
+    lift or the check fails, as where the rank mod p is below the rank over
+    Q, the leading columns of the nonzero HNF rows (_hnf_rows) are
+    returned: those rows are triangular with a nonzero diagonal there.
     """
-    rows, kept = tee(rows)
-    cols = _pivot_columns_mod_p(rows, cap)
-    if len(cols) == cap:
-        return cols
-    # the modular pass stops early only at the cap, so it has read every row
+    rows, checked, kept = tee(rows, 3)
+    pivots = _pivot_columns_mod_p(rows, cap)
+    if len(pivots) == cap or _spans_rows(pivots, checked):
+        return list(pivots)
     return [min(row) for row in _hnf_rows(kept)]
 
 
 def certified_rank(rows, cap: int) -> int:
     """Exact rank over Q of sparse {column: value} rows known to have rank
-    at most cap (_basis_columns)."""
+    at most cap: the rank modulo the prime, certified at the cap or by the
+    lifted pivot rows, else the HNF's (_basis_columns)."""
     return len(_basis_columns(rows, cap))
 
 
 def span_coordinates(vectors, cap: int) -> tuple[int, list]:
     """(s, coords): the dimension s of the linear span of a sequence of
     vectors, known to be at most cap, and the vectors restricted to the s
-    pivot columns of a basis of that span (_basis_columns), on which
-    restriction is injective; no vectors give (0, []).  An injective linear
-    map changes no symmetric-power rank, and the degree-k flattenings of the
-    restricted vectors use at most comb(s + k - 1, k) columns, the cap itself.
+    pivot columns of a basis of that span (_basis_columns: the modular
+    pass's, certified at the cap or by its lifted pivot rows, else the
+    HNF's), on which restriction is injective; no vectors give (0, []).  An
+    injective linear map changes no symmetric-power rank, and the degree-k
+    flattenings of the restricted vectors use at most comb(s + k - 1, k)
+    columns, the cap itself.
     """
     # shortest-vector lists are sorted with the first nonzero entry positive,
     # so the vectors that use coordinate 0 come last: read last-first, the

@@ -129,7 +129,8 @@ def reduce_sequentially(row, pivots):
 
 def pivot_columns_mod_p_sequential(rows, cap):
     """intlinalg._pivot_columns_mod_p as it was before each row was reduced
-    in one pass: the sequential reference eliminator.  Rows are reduced by
+    in one pass: the sequential reference eliminator, which returns the same
+    pivot rows by pivot column.  Rows are reduced by
     reduce_sequentially, and a new pivot column is cleared from the earlier
     pivot rows holding it by subtract_mod_p, through the same index."""
     p = intlinalg._CERT_PRIME
@@ -152,7 +153,7 @@ def pivot_columns_mod_p_sequential(rows, cap):
         pivots[col] = prow
         if len(pivots) == cap:
             break
-    return list(pivots)
+    return pivots
 
 
 def gram_det_by_bareiss(B):

@@ -12,7 +12,9 @@ outputs whose containers are empty (``[]`` and ``{}``), the
 (k = 3, 2 and 2), the only histograms over fields with e > 1, the
 graphs whose characteristic polynomial has large or irrational-root
 coefficients, a larger integral and a larger irrational spectrum (120 and
-156 vertices), two analyses with large symmetric-square ranks, shortest
+156 vertices), two analyses with large symmetric-square ranks and two
+whose symmetric-square rank falls short of its cap (``analyze
+Md:20:excl=0,1,2,3,4`` and ``analyze Md:30:excl=0,1,2,3,4,5,6``), shortest
 vectors at the enumerator's edges (support 1, entries of 3), and builds
 over prime-power fields, multi-factor groups, the edges of the exclusion
 windows and construction failures, and the kernel lattices of ranks 31-63
@@ -97,10 +99,14 @@ _CHAR_POLY = (
 )
 
 # Sym2 ranks over several thousand rows: the sparse modular eliminator's
-# pivot order and early stop at the cap
+# pivot order and early stop at the cap; then two Sym2 ranks below the cap
+# (206 of 210 and 463 of 465), recorded when the HNF settled them and now
+# settled by the lifted modular pivot rows
 _SYM_RANK = (
     ("analyze", "Ld:30"),
     ("analyze", "LA:Z/32"),
+    ("analyze", "Md:20:excl=0,1,2,3,4"),
+    ("analyze", "Md:30:excl=0,1,2,3,4,5,6"),
 )
 
 # minvec inputs that reach the enumerator's edges: support-1 vectors held by

@@ -2,7 +2,7 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, isqrt, prod
 from unittest import mock
 
 import pytest
@@ -261,6 +261,43 @@ def sparse_matrix(draw, entries=st.integers(-3, 3)):
 mod_p_entry = st.one_of(st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P - 1, _P + 1]))
 
 
+def rref_over_q(rows):
+    """{pivot column: pivot row} of the reduced row-echelon form over Q of
+    sparse {column: value} rows, by Gauss-Jordan elimination in Fractions."""
+    pivots = {}
+    for row in rows:
+        v = {c: Fraction(x) for c, x in row.items() if x}
+        for c, prow in pivots.items():
+            if f := v.get(c):
+                for j, y in prow.items():
+                    v[j] = v.get(j, 0) - f * y
+        v = {c: x for c, x in v.items() if x}
+        if not v:
+            continue
+        col = min(v)
+        prow = {j: x / v[col] for j, x in v.items()}
+        for q, qrow in pivots.items():
+            if f := qrow.get(col):
+                pivots[q] = {j: y for j in qrow.keys() | prow.keys()
+                             if (y := qrow.get(j, 0) - f * prow.get(j, 0))}
+        pivots[col] = prow
+    return pivots
+
+
+def certificate_settles(rows):
+    """Whether the lifted modular pivot rows can give every row: the rank
+    over Q has the modular pass's pivot columns, and every entry of its
+    reduced row-echelon form is n/d with |n|, d within the lift bound.  Then
+    the modular pivot rows are that form modulo the prime, and rational
+    reconstruction recovers it; otherwise no lift passes the check, as the
+    reduced row-echelon form of a row space is unique."""
+    bound = isqrt((_P - 1) // 2)
+    rref = rref_over_q(rows)
+    return (sorted(rref) == sorted(intlinalg._pivot_columns_mod_p(rows, -1))
+            and all(abs(x.numerator) <= bound and x.denominator <= bound
+                    for prow in rref.values() for x in prow.values()))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrix(mod_p_entry), st.integers(-2, 2))
 @example([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 1, 1: 2, 2: 1}], 0)
@@ -288,7 +325,8 @@ def test_pivot_columns_match_the_sequential_eliminator(rows):
     # above the rank modulo the prime
     r = len(pivot_columns_mod_p_sequential(rows, -1))
     for cap in (-1, r, r + 1):
-        assert intlinalg._pivot_columns_mod_p(rows, cap) == pivot_columns_mod_p_sequential(rows, cap)
+        assert (list(intlinalg._pivot_columns_mod_p(rows, cap).items())
+                == list(pivot_columns_mod_p_sequential(rows, cap).items()))
 
 
 class RecordingPivots(Mapping):
@@ -359,14 +397,52 @@ def test_certified_rank_is_exact_when_entries_vanish_mod_p(rows, extra):
 @example([{0: 0}, {0: 1, 1: 1}])  # a stored zero, which the HNF must not see
 def test_certified_rank_matches_bareiss_rank(M):
     r = bareiss_rank(dense(M))
+    # the rank is that of at most 8 drawn rows, each of norm at most
+    # sqrt(6 * 3^2), so every minor is below 2^30, the lift bound (Hadamard's
+    # bound): the modular pass finds the rank and its pivot columns, and its
+    # pivot rows lift, so no cap at or above the rank needs the HNF
     with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
-        # every minor is far below the prime (Hadamard's bound), so a cap
-        # equal to the rank is certified by the modular pass alone
-        assert certified_rank(M, r) == r
-        assert fallback.call_count == 0
-        # the modular rank cannot reach a cap above the rank, so the HNF decides
-        assert certified_rank(M, r + 1) == r
-        assert fallback.call_count == 1
+        for cap in (r, r + 1, r + 2):
+            assert certified_rank(M, cap) == r
+    assert fallback.call_count == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrix(mod_p_entry), st.integers(0, 2))
+@example([{0: 1, 1: 2}, {0: 2, 1: 3}, {0: 3, 1: 5}], 1)  # full column rank below the cap
+@example([{0: 2, 1: 1, 2: 1}, {0: 4, 1: 2, 2: 4}], 1)  # a pivot row entry of 1/2
+def test_certified_rank_and_span_coordinates_are_exact(rows, slack):
+    # at and above the rank, where entries vanish mod the prime too: the
+    # rank, the span and an injective cut, and the HNF runs only where the
+    # modular pass stops below the cap and its lifted pivot rows cannot
+    # give every row
+    r = bareiss_rank(dense(rows))
+    cap = r + slack
+    reaches_cap = len(intlinalg._pivot_columns_mod_p(rows, cap)) == cap
+    hnf_calls = 0 if reaches_cap or certificate_settles(rows) else 1
+    vecs = [tuple(v) for v in dense(rows)]
+    with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
+        assert certified_rank(rows, cap) == r
+        assert fallback.call_count == hnf_calls
+        span, coords = intlinalg.span_coordinates(vecs, cap)
+    assert span == r
+    assert all(len(v) == r for v in coords)
+    assert bareiss_rank(coords) == r
+    assert fallback.call_count == 2 * hnf_calls
+
+
+@pytest.mark.parametrize("rows, cap, expected, hnf_calls", [
+    ([{0: _P}], 1, 1, 1),  # rank 1 over Q, 0 mod the prime
+    ([{0: 1, 1: 1}, {0: 1, 1: 1 + _P}], 2, 2, 1),  # determinant _P
+    ([{0: 1, 1: 1 + _P}, {0: 1, 1: 1}], 2, 2, 1),  # the same, the other row first
+    ([{0: 1, 1: 2**31}, {0: 2, 1: 2**32}], 2, 1, 1),  # rank 1, 2^31 beyond the lift bound
+    ([], 0, 0, 0),
+    ([], 1, 0, 0),
+])
+def test_certificate_examples_and_their_hnf_calls(rows, cap, expected, hnf_calls):
+    with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
+        assert certified_rank(rows, cap) == expected
+    assert fallback.call_count == hnf_calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,8 +485,8 @@ def test_sym2_rank_of_the_analyze_specs(spec):
     span, coords = intlinalg.span_coordinates(vecs, d)
     for rows in (sym_power_rows(coords, 2), sym_power_rows(vecs, 2)):
         for cap in (-1, comb(span + 1, 2)):
-            assert (intlinalg._pivot_columns_mod_p(rows, cap)
-                    == pivot_columns_mod_p_sequential(rows, cap))
+            assert (list(intlinalg._pivot_columns_mod_p(rows, cap).items())
+                    == list(pivot_columns_mod_p_sequential(rows, cap).items()))
     if spec in DENSE_SIZED:
         full = dense_sym_power_rows(vecs, 2)
         cap = comb(d + 1, 2)
@@ -479,12 +555,20 @@ def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
 @example([(_P, 0), (0, 1)], 0)  # span 2, one pivot modulo the prime
 @example([(0, 0, 0), (1, 2, 3), (1, 2, 3), (0, 0, 0), (-2, -4, -6)], 1)  # span 1
 def test_span_coordinates_below_the_modular_cap(vecs, slack):
-    # the modular pass stops below the cap, so the HNF gives the span and
-    # its pivot columns: exactly s coordinates, injective on the span
+    # the modular pass stops below the cap; its lifted pivot rows give the
+    # span and its pivot columns unless an entry vanishing mod the prime
+    # hides the span or its pivot columns, or the lift fails, and then the
+    # HNF does: exactly s coordinates, injective on the span
     s = bareiss_rank(vecs)
+    rows = sym_power_rows(vecs, 1)
+    hnf_calls = 0 if certificate_settles(rows) else 1
+    if all(abs(x) < _P for v in vecs for x in v):
+        # no base vector has an entry of _P or more, so every minor of the
+        # base is below 2^30 (Hadamard's bound): the certificate settles
+        assert hnf_calls == 0
     with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
         span, coords = intlinalg.span_coordinates(vecs, s + slack)
-    assert fallback.call_count == 1
+    assert fallback.call_count == hnf_calls
     assert span == s
     assert all(len(v) == s for v in coords)
     assert bareiss_rank(coords) == s
@@ -992,7 +1076,9 @@ def test_matrix_text_roundtrip():
 if __name__ == "__main__":
     # PYTHONPATH=src python3 tests/test_intlinalg.py --work checks the sparse
     # eliminator against the dense loop on the Sym2 rows of every spec in
-    # SYM2_RANKS and prints, for each, the certified rank, the CPU seconds
+    # SYM2_RANKS and prints, for each, the certified rank, how each of
+    # sym_square_rank's two ranks was settled (at the cap, by the lifted
+    # pivot rows of the certificate, or by the HNF), the CPU seconds
     # of sym_square_rank and of the dense loop, and the work of the three
     # eliminations: the span pass, the Sym2 pass on the span's pivot
     # coordinates that sym_square_rank runs, and for comparison the Sym2
@@ -1016,7 +1102,8 @@ if __name__ == "__main__":
     # operations of one kernel run.
     # Last, it recomputes the ten reference tables at --jobs 1 and prints
     # their CPU seconds and, for the span and the Sym2 rank passes in turn,
-    # the fallbacks that the modular pass left to the HNF: their number,
+    # the fallbacks that neither the cap nor the certificate settled, so
+    # the HNF did: their number,
     # their rows x columns, the CPU seconds of the HNF next to those of
     # bareiss_rank on the same rows, whose rank it must match, and the HNF
     # row operations.  A row operation is one call of the add closure of
@@ -1083,6 +1170,24 @@ if __name__ == "__main__":
         return {"pivots": pivots, "rows_read": read, "rows_zero": read - pivots,
                 "updates": updates}
 
+    def settled(fn, *args):
+        """How _basis_columns settled each rank while fn(*args) ran."""
+        ways = []
+
+        def pivots_mod_p(rows, cap, pivots_mod_p=intlinalg._pivot_columns_mod_p):
+            pivots = pivots_mod_p(rows, cap)
+            ways.append("cap" if len(pivots) == cap else "certificate")
+            return pivots
+
+        def hnf_rows(rows, hnf_rows=intlinalg._hnf_rows):
+            ways[-1] = "hnf"
+            return hnf_rows(rows)
+
+        with (mock.patch.object(intlinalg, "_pivot_columns_mod_p", pivots_mod_p),
+              mock.patch.object(intlinalg, "_hnf_rows", hnf_rows)):
+            fn(*args)
+        return ways
+
     for spec in SYM2_RANKS:
         d, vecs = _shortest_vectors(spec)
         cap = comb(d + 1, 2)
@@ -1098,6 +1203,7 @@ if __name__ == "__main__":
         projected = sym_power_rows(coords, 2)
         print(json.dumps({
             "spec": spec, "mp": len(vecs), "cap": cap, "certified_rank": certified,
+            "settled": dict(zip(("span", "sym2"), settled(perfection.sym_square_rank, vecs, d))),
             "cpu_s": round(mid - start, 3),
             "span_pass": eliminator_work(sym_power_rows(vecs[::-1], 1), d),
             "sym2": {"cols": len(set().union(*projected)),

@@ -90,9 +90,10 @@ def test_perfect_report_needs_no_fallback(monkeypatch):
 
     # the rank path on the analyze corpus: the span pass (span_coordinates),
     # then the Sym2 pass (certified_rank), each followed by the HNF only
-    # where the modular pass falls short of its cap.  Each perfect lattice
-    # certifies both mod p; the two imperfect ones reach the span's cap and
-    # fall back once, in the Sym2 pass
+    # where the modular pass falls short of its cap and its lifted pivot
+    # rows do not give every row.  Each perfect lattice certifies both at
+    # the cap; the two imperfect ones reach the span's cap, and their Sym2
+    # pass, short of its cap, is settled by the lifted pivot rows
     path = []
 
     def traced(name, f):
@@ -108,10 +109,23 @@ def test_perfect_report_needs_no_fallback(monkeypatch):
         path.clear()
         rep = perfection_report(lat)
         assert (rep.pd == 0) == (spec not in IMPERFECT_ANALYZE_SPECS), spec
-        expected = ["span_coordinates", "certified_rank"]
-        if rep.pd:
-            expected.append("_hnf_rows")
-        assert path == expected, spec
+        assert path == ["span_coordinates", "certified_rank"], spec
+
+
+def test_reports_need_no_hnf_rank():
+    # every rank of the analyze corpus, of the two large deficient analyses
+    # of the CLI corpus and of every row of the exclusion tables is settled
+    # from the modular pass, at the cap or by the lifted pivot rows.  The
+    # lattices are built first, as kernel_basis runs the HNF
+    specs = {spec: 0 for spec in ANALYZE_SPECS} | {"Ld:6": 1, "LA:Z/4+Z/2": 2}
+    specs |= {"Md:20:excl=0,1,2,3,4": 4, "Md:30:excl=0,1,2,3,4,5,6": 2}
+    for tag, d, golden in tables._EXCLUSION_TABLES.values():
+        specs |= {str(families.FamilySpec(tag, d=d, excl=excl)): pd for excl, _, pd, _ in golden}
+    lattices = [families.build_family(spec) for spec in specs]
+    with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
+        pds = [perfection_report(lat).pd for lat in lattices]
+    assert fallback.call_count == 0
+    assert dict(zip(specs, pds)) == specs
 
 
 def test_perfection_report_table_rows():
