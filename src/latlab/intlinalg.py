@@ -23,11 +23,13 @@ package is built on:
   cap pivots or when its pivot rows, lifted to Q by rational
   reconstruction, give every row exactly, else by the HNF; a degree-k
   flattening of vectors spanning s dimensions has the cap comb(s + k - 1, k),
-* ``span_coordinates`` - the dimension s of the span of vectors and the
-  vectors projected onto the s pivot columns of that elimination, which is
-  injective on the span, so their degree-k flattenings use at most
-  comb(s + k - 1, k) columns, the cap itself,
-* ``sym_power_rows`` - sparse symmetric-power flattenings of vectors,
+* ``span_coordinates`` - the dimension s of the span of vectors, each
+  scanned once into its nonzero (coordinate, value) cells, and those cells
+  projected onto the s pivot columns of that elimination, renumbered
+  0..s-1; the projection is injective on the span, so their degree-k
+  flattenings use at most comb(s + k - 1, k) columns, the cap itself,
+* ``sym_power_rows`` - sparse symmetric-power flattenings of vectors given
+  by their cells,
 * ``lll`` - all-integer LLL reduction with its integral Gram-Schmidt data,
 * ``krylov_min_poly`` - minimal polynomials modulo the 61-bit prime of the
   rank certificate of Krylov sequences u A^k b, A given by its sparse rows,
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import combinations_with_replacement, compress, tee
+from itertools import compress, tee
 from math import isqrt, lcm, prod
 from operator import itemgetter, mul
 
@@ -344,46 +346,64 @@ def certified_rank(rows, cap: int) -> int:
 
 
 def span_coordinates(vectors, cap: int) -> tuple[int, list]:
-    """(s, coords): the dimension s of the linear span of a sequence of
-    vectors, known to be at most cap, and the vectors restricted to the s
-    pivot columns of a basis of that span (_basis_columns: the modular
-    pass's, certified at the cap or by its lifted pivot rows, else the
-    HNF's), on which restriction is injective; no vectors give (0, []).  An
-    injective linear map changes no symmetric-power rank, and the degree-k
-    flattenings of the restricted vectors use at most comb(s + k - 1, k)
-    columns, the cap itself.
+    """(s, cells): the dimension s of the linear span of a sequence of
+    vectors, known to be at most cap, and each vector's nonzero
+    (coordinate, value) cells restricted to the s pivot columns of a basis
+    of that span (_basis_columns: the modular pass's, certified at the cap
+    or by its lifted pivot rows, else the HNF's), renumbered 0..s-1 in
+    increasing column order; no vectors give (0, []).  Restriction to those
+    columns is injective on the span, and an injective linear map changes
+    no symmetric-power rank; the degree-k flattenings of the restricted
+    cells (sym_power_rows(cells, k, s)) use at most comb(s + k - 1, k)
+    columns, the cap itself.  Each vector is scanned once, into its cells.
     """
+    positions = range(max(map(len, vectors), default=0))
+    cells = [list(zip(compress(positions, v), filter(None, v))) for v in vectors]
     # shortest-vector lists are sorted with the first nonzero entry positive,
     # so the vectors that use coordinate 0 come last: read last-first, the
     # pass meets every coordinate early and reaches the cap in fewer rows.
-    # The rows are the degree-1 flattenings (sym_power_rows(vectors, 1)),
-    # built only as the pass reads them
-    rows = ({i: x for i, x in enumerate(v) if x} for v in reversed(vectors))
-    cols = set(_basis_columns(rows, cap))
-    keep = [c in cols for c in range(max(cols, default=-1) + 1)]
-    return len(cols), [tuple(compress(v, keep)) for v in vectors]
+    # The rows are the degree-1 flattenings, built only as the pass reads them
+    cols = sorted(_basis_columns(map(dict, reversed(cells)), cap))
+    renumber = dict(zip(cols, range(len(cols))))
+    # the columns below the first non-pivot one keep their numbers, so the
+    # cells that stay below it (most of them: that column is mostly one of
+    # the last) are kept as they are
+    low = next((j for j, c in enumerate(cols) if c != j), len(cols))
+    return len(cols), [c if not c or c[-1][0] < low
+                       else [(renumber[i], x) for i, x in c if i in renumber] for c in cells]
 
 
-def sym_power_rows(vectors, k: int) -> list[dict[int, int]]:
-    """Sparse degree-k symmetric-power flattenings.
+def sym_power_rows(cells, k: int, n: int) -> list[dict[int, int]]:
+    """Sparse degree-k symmetric-power flattenings of vectors of length n,
+    each given by its nonzero (coordinate, value) cells in increasing
+    coordinate order.
 
     The row of a vector v maps each degree-k monomial that is nonzero at v
     to its value there.  The monomial x_(i1) ... x_(ik) with i1 <= ... <= ik
-    is column i1 n^(k-1) + ... + ik, its indices read as base-n digits for
-    vectors of length n; any injective labelling gives the same rank.  For
-    k = 1 the row is the sparse vector itself.
+    is column i1 n^(k-1) + ... + ik, its indices read as base-n digits; any
+    injective labelling gives the same rank.  For k = 1 the row is the
+    support itself.  The heads of degree k - 2 are expanded first, each with
+    the cells from its last index on, and the last two degrees run as a
+    double loop over those cells.
     """
     rows = []
-    for v in vectors:
-        n = len(v)
-        support = [(i, x) for i, x in enumerate(v) if x]
+    for support in cells:
+        if k == 1:
+            rows.append(dict(support))
+            continue
+        # (the cells from the head's last index on, its column, its value)
+        heads = [(support, 0, 1)]
+        for _ in range(k - 2):
+            heads = [(rest[b:], col * n + i, value * x) for rest, col, value in heads
+                     for b, (i, x) in enumerate(rest)]
         row = {}
-        for monomial in combinations_with_replacement(support, k):
-            col, value = 0, 1
-            for i, x in monomial:
-                col = col * n + i
-                value *= x
-            row[col] = value
+        for rest, col, value in heads:
+            while rest:
+                i, x = rest[0]
+                base, y = (col * n + i) * n, value * x
+                for j, z in rest:
+                    row[base + j] = y * z
+                rest = rest[1:]
         rows.append(row)
     return rows
 

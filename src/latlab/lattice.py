@@ -9,10 +9,12 @@ independent ways:
   the remaining norm, pruning with interval bounds on the equality rows, and
   finds the last t coordinates by one lookup in a table keyed by what they
   add to every row sum, so congruence rows prune there as well.  The width
-  t is 2, or 3 where the walk level that the triple tables save costs more
-  than the tables (``_lookup_width``, from n and the norm alone).  One join
-  builds every table, from the single placements of width 1 up, and the
-  vectors of support 1 to t are read at the root from the tables at key 0;
+  t is 1 at norm 2, where the pair tables would be built for one lookup at
+  key 0, else 2, or 3 where the walk level that the triple tables save
+  costs more than the tables (``_lookup_width``, from n and the norm
+  alone).  One join builds every table, from the single placements of
+  width 1 up, and the vectors of support 1 to t are read at the root from
+  the tables at key 0;
 * ``enumerate_by_basis_oracle`` runs a Fincke-Pohst search over the
   coordinates of an LLL-reduced basis (intlinalg.lll, all-integer), in
   integers throughout.  With the basis's integral Gram-Schmidt data d_i and
@@ -167,18 +169,25 @@ def square_patterns(m: int, cap: int | None = None) -> list[tuple[int, ...]]:
 
 
 def _lookup_width(n: int, m: int) -> int:
-    """How many last coordinates vectors_of_norm finds by one lookup: 3 where
-    the walk level that the triple tables save costs more than the tables,
-    else 2.
+    """How many last coordinates vectors_of_norm finds by one lookup: 1 at
+    norm 2, else 3 where the walk level that the triple tables save costs
+    more than the tables, else 2.
 
-    The walk of width t is taken at its deepest level, m - t values +-1:
-    C(n, m - t) 2^(m - t) nodes.  The triple tables for the remaining norms
-    up to m hold C(n, 3) entries per signed triple of nonzero values with
-    squares summing to at most m, and an entry costs about three nodes.  The
-    rule sees neither the rows nor how much they prune.
+    At norm 2 width 2 reads its one pair table, of 2 n(n - 1) entries, at
+    key 0 only, while width 1 places each coordinate and looks the other up
+    among the 2n single placements: n nodes and no pair table (the empty
+    norm-2 probe of lattice.minimum takes about 0.3 against 7.7 ms on
+    Ld:60 and 0.6 against 31 ms on LA:Z/128).  At norm 3 the pair tables of
+    norms 1-2 are small and width 2 stays faster (T:5, 3.7 against 5.1 ms
+    with width 1).  Above that the walk of width t is taken at its deepest
+    level, m - t values +-1: C(n, m - t) 2^(m - t) nodes.  The triple
+    tables for the remaining norms up to m hold C(n, 3) entries per signed
+    triple of nonzero values with squares summing to at most m, and an
+    entry costs about three nodes.  The rule sees neither the rows nor how
+    much they prune.
     """
     if m < 3:
-        return 2
+        return 1 if m == 2 else 2
     pair_walk = comb(n, m - 2) << (m - 2)
     triple_walk = comb(n, m - 3) << (m - 3)
     if triple_walk >= pair_walk:
@@ -193,25 +202,26 @@ def vectors_of_norm(lat: Lattice, m: int) -> MinimalVectorSet:
     """Complete sign-canonical set of lattice vectors of squared norm m.
 
     One walk places support coordinates in increasing order, each with a
-    nonzero value out of the remaining norm budget r, the first one positive.
-    As |x| <= x^2, the unplaced values add at most r times the largest later
-    weight to an equality row's sum, which prunes the walk.  After each
-    placement one lookup finds the last t coordinates, with t = 2 or 3 for
-    the whole call (_lookup_width): holding their values they add the key
-    (the weighted sum per equality row, that sum mod q per congruence row of
-    modulus q) to the running row sums, so they must have the key
-    (-sums, -sums mod q).  The table from that key to the (coordinate,
-    value) cells of t nonzero values with squares summing to r, ordered by
-    their lowest coordinate, is built the first time the walk needs r and
-    lives for this call.  One join builds them all: the table of width t
-    and norm r joins each coordinate k and value z with the entries above k
-    of the table of width t - 1 and norm r - z^2, from the tables of width 1
-    of the single placements +-sqrt(r), keyed by column times value.  The
-    walk skips the lookup where the table is empty, and a placement that can
-    neither look up nor place again.  A vector with support s > t is found
-    only at the placement of its (s - t)-th coordinate, so exactly once;
-    supports 1 to t are found at the root, by lookup at key 0 in the tables
-    of norm m, each with its lowest coordinate positive.
+    nonzero value out of the remaining norm budget r, the first one
+    positive.  As |x| <= x^2, the unplaced values add at most r times the
+    largest later weight to an equality row's sum, which prunes the walk.
+    After each placement one lookup finds the last t coordinates, with t = 1
+    at norm 2, else 2 or 3, for the whole call (_lookup_width): holding
+    their values they add the key (the weighted sum per equality row, that
+    sum mod q per congruence row of modulus q) to the running row sums, so
+    they must have the key (-sums, -sums mod q).  The table from that key to
+    the (coordinate, value) cells of t nonzero values with squares summing
+    to r, ordered by their lowest coordinate, is built the first time the
+    walk needs r and lives for this call.  One join builds them all: the
+    table of width t and norm r joins each coordinate k and value z with the
+    entries above k of the table of width t - 1 and norm r - z^2, from the
+    tables of width 1 of the single placements +-sqrt(r), keyed by column
+    times value.  The walk skips the lookup where the table is empty, and a
+    placement that can neither look up nor place again.  A vector with
+    support s > t is found only at the placement of its (s - t)-th
+    coordinate, so exactly once; supports 1 to t are found at the root, by
+    lookup at key 0 in the tables of norm m, each with its lowest coordinate
+    positive.
 
     Every norm of the lattice is a multiple of its norm ideal's generator N
     (Lattice.norm_ideal: each term of sum c_i^2 G_ii + 2 sum_(i<j) c_i c_j G_ij

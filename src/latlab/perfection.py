@@ -28,10 +28,11 @@ from .families import FamilySpec
 from .lattice import Lattice, MinimalVectorSet, sign_canonical
 
 
-def _sym_power_rank(vecs, k: int, span: int) -> int:
-    """Rank of the degree-k symmetric-power flattenings of vectors spanning
-    at most span dimensions, which caps it at comb(span + k - 1, k)."""
-    return intlinalg.certified_rank(intlinalg.sym_power_rows(vecs, k), comb(span + k - 1, k))
+def _sym_power_rank(cells, k: int, n: int, span: int) -> int:
+    """Rank of the degree-k symmetric-power flattenings of vectors of length
+    n, given by their cells (intlinalg.span_coordinates), spanning at most
+    span dimensions, which caps it at comb(span + k - 1, k)."""
+    return intlinalg.certified_rank(intlinalg.sym_power_rows(cells, k, n), comb(span + k - 1, k))
 
 
 def sym_square_rank(vectors, dim: int | None = None) -> int:
@@ -43,15 +44,16 @@ def sym_square_rank(vectors, dim: int | None = None) -> int:
     dim, a bound that a caller who knows one passes, such as the rank of a
     lattice containing the vectors; it defaults to the length of the
     vectors.  The symmetric squares are taken on s coordinates on which the
-    span projects injectively (intlinalg.span_coordinates), so on at most
+    span projects injectively (intlinalg.span_coordinates, which scans each
+    vector once into the cells the rows are built from), so on at most
     comb(s + 1, 2) columns, and their rank is intlinalg.certified_rank's
     under the cap comb(s + 1, 2).
     """
     vecs = list(vectors)
     if not vecs:
         raise ValueError("need at least one vector")
-    span, coords = intlinalg.span_coordinates(vecs, len(vecs[0]) if dim is None else dim)
-    return _sym_power_rank(coords, 2, span)
+    span, cells = intlinalg.span_coordinates(vecs, len(vecs[0]) if dim is None else dim)
+    return _sym_power_rank(cells, 2, span, span)
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,11 @@ def alpha_series(vectors, kmax: int) -> AlphaSeries:
     if not vecs or kmax < 1:
         raise ValueError("need vectors and kmax >= 1")
     dims = [1]
-    span, coords = intlinalg.span_coordinates(vecs, len(vecs[0]))
+    span, cells = intlinalg.span_coordinates(vecs, len(vecs[0]))
     for k in range(1, kmax + 1):
         if comb(span + k - 1, k) > _ALPHA_BUDGET:
             raise ValueError("symmetric power budget exceeded")
-        dims.append(span if k == 1 else _sym_power_rank(coords, k, span))
+        dims.append(span if k == 1 else _sym_power_rank(cells, k, span, span))
     return AlphaSeries(tuple(dims), stabilized=dims[-1] == _distinct_line_count(vecs))
 
 
@@ -162,15 +164,15 @@ def hyperplane_split_check(vectors, w) -> HyperplaneSplit:
     vecs = [tuple(v) for v in vectors]
     if any(len(v) != len(w) for v in vecs):
         raise ValueError("hyperplane normal length does not match the vectors")
-    d, coords = intlinalg.span_coordinates(vecs, len(w))
+    d, cells = intlinalg.span_coordinates(vecs, len(w))
     section, complement = [], []
-    for v, c in zip(vecs, coords):
+    for v, c in zip(vecs, cells):
         (section if sum(map(mul, v, w)) == 0 else complement).append(c)
     # the section spans at most d - 1 dimensions once a vector is off the hyperplane
     result = HyperplaneSplit(
-        bool(section) and _sym_power_rank(section, 2, d - bool(complement)) == comb(d, 2),
-        bool(complement) and _sym_power_rank(complement, 1, d) == d)
-    if result.hypotheses_hold and _sym_power_rank(coords, 2, d) != comb(d + 1, 2):
+        bool(section) and _sym_power_rank(section, 2, d, d - bool(complement)) == comb(d, 2),
+        bool(complement) and _sym_power_rank(complement, 1, d, d) == d)
+    if result.hypotheses_hold and _sym_power_rank(cells, 2, d, d) != comb(d + 1, 2):
         raise RuntimeError("split criterion violated")
     return result
 
@@ -360,8 +362,9 @@ def _unit_support(v) -> list[tuple[int, int]]:
     return support
 
 
-def _neighbor_counts(targets, vectors) -> list[int]:
-    """For each target v, the number of vectors w with <v, w> = +-2.
+def _neighbor_counts(targets, supports) -> list[int]:
+    """For each target v, the number of vectors w with <v, w> = +-2, both
+    given by their cells (_unit_support, one scan per vector).
 
     Every vector has four +-1 entries, so <v, w> = +-2 holds exactly when v
     and w share two coordinates i, j with w_i w_j = v_i v_j, or share all
@@ -372,7 +375,6 @@ def _neighbor_counts(targets, vectors) -> list[int]:
     w sharing three or four is found through its support triples; its pair
     credit is taken off and its true product tested instead.
     """
-    supports = [_unit_support(w) for w in vectors]
     pairs: dict[tuple[int, int, int], int] = {}
     triples: dict[tuple[int, ...], list[int]] = {}
     for idx, support in enumerate(supports):
@@ -381,8 +383,7 @@ def _neighbor_counts(targets, vectors) -> list[int]:
         for triple in combinations([j for j, _ in support], 3):
             triples.setdefault(triple, []).append(idx)
     counts = []
-    for v in targets:
-        support = _unit_support(v)
+    for support in targets:
         vmap = dict(support)
         count = sum(pairs.get((i, j, a * b), 0) for (i, a), (j, b) in combinations(support, 2))
         close = set()
@@ -407,13 +408,15 @@ def neighbor_stats(lat: Lattice, v) -> NeighborStats:
     vecs = lattice.vectors_of_norm(lat, 4).vectors
     if sign_canonical(v) not in vecs:
         raise ValueError("neighbor stats need a shortest vector of the lattice")
-    return _neighbor_term(v, lat.rank, _neighbor_counts([v], vecs)[0])
+    count = _neighbor_counts([_unit_support(v)], list(map(_unit_support, vecs)))[0]
+    return _neighbor_term(v, lat.rank, count)
 
 
 def neighbor_survey(lat: Lattice) -> list[NeighborStats]:
     """Neighbor statistics for every shortest vector of an L-family lattice."""
     mvs = lattice.vectors_of_norm(lat, 4)
-    counts = _neighbor_counts(mvs.vectors, mvs.vectors)
+    supports = list(map(_unit_support, mvs.vectors))
+    counts = _neighbor_counts(supports, supports)
     return [_neighbor_term(v, lat.rank, count) for v, count in zip(mvs.vectors, counts)]
 
 

@@ -4,7 +4,7 @@ They are the plain loops that the package's faster code replaced, kept as
 they were; the package itself does not need them.
 """
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, compress, product
 from math import comb
 
 from latlab import intlinalg
@@ -154,6 +154,50 @@ def pivot_columns_mod_p_sequential(rows, cap):
         if len(pivots) == cap:
             break
     return pivots
+
+
+def span_coordinates_from_dense(vectors, cap):
+    """intlinalg.span_coordinates as it was before it scanned each vector
+    into cells: (s, the vectors cut to the s pivot columns as dense
+    s-tuples), the rows built as dicts from the dense vectors, read
+    last-first."""
+    rows = ({i: x for i, x in enumerate(v) if x} for v in reversed(vectors))
+    cols = set(intlinalg._basis_columns(rows, cap))
+    keep = [c in cols for c in range(max(cols, default=-1) + 1)]
+    return len(cols), [tuple(compress(v, keep)) for v in vectors]
+
+
+def sym_power_rows_from_dense(vectors, k):
+    """intlinalg.sym_power_rows as it was before it took cells: each dense
+    vector's support list, then its degree-k monomials by
+    combinations_with_replacement, labelled i1 n^(k-1) + ... + ik for
+    vectors of length n."""
+    rows = []
+    for v in vectors:
+        n = len(v)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        row = {}
+        for monomial in combinations_with_replacement(support, k):
+            col, value = 0, 1
+            for i, x in monomial:
+                col = col * n + i
+                value *= x
+            row[col] = value
+        rows.append(row)
+    return rows
+
+
+def cells_of(v):
+    """The nonzero (coordinate, value) cells of a dense vector."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def dense_of(cells, n):
+    """The dense length-n vector of (coordinate, value) cells."""
+    v = [0] * n
+    for i, x in cells:
+        v[i] = x
+    return tuple(v)
 
 
 def gram_det_by_bareiss(B):

@@ -10,13 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import (
     bareiss_rank,
+    cells_of,
     dense_hnf,
     dense_kernel_basis,
+    dense_of,
     faddeev_leverrier,
     gram_det_by_bareiss,
     identity,
     pivot_columns_mod_p_sequential,
     sequence_min_poly,
+    span_coordinates_from_dense,
+    sym_power_rows_from_dense,
 )
 
 from latlab import families, intlinalg, lattice, perfection
@@ -424,10 +428,10 @@ def test_certified_rank_and_span_coordinates_are_exact(rows, slack):
     with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
         assert certified_rank(rows, cap) == r
         assert fallback.call_count == hnf_calls
-        span, coords = intlinalg.span_coordinates(vecs, cap)
+        span, cells = intlinalg.span_coordinates(vecs, cap)
     assert span == r
-    assert all(len(v) == r for v in coords)
-    assert bareiss_rank(coords) == r
+    assert all(0 <= i < r for c in cells for i, _ in c)
+    assert bareiss_rank([dense_of(c, r) for c in cells]) == r
     assert fallback.call_count == 2 * hnf_calls
 
 
@@ -454,7 +458,8 @@ def test_sym_power_rows_relabel_the_dense_flattening(vecs, k):
     labels = [sum(i * n ** (k - 1 - t) for t, i in enumerate(m))
               for m in combinations_with_replacement(range(n), k)]
     assert len(set(labels)) == len(labels)
-    for row, full in zip(sym_power_rows(vecs, k), dense_sym_power_rows(vecs, k)):
+    rows = sym_power_rows([cells_of(v) for v in vecs], k, n)
+    for row, full in zip(rows, dense_sym_power_rows(vecs, k), strict=True):
         assert row == {c: x for c, x in zip(labels, full) if x}
 
 
@@ -482,15 +487,18 @@ def test_sym2_rank_of_the_analyze_specs(spec):
     # the one-pass reduction finds the sequential eliminator's pivots, in
     # order, on the rows that sym_square_rank ranks (the squares on the
     # span's pivot coordinates) and on the squares on every coordinate
-    span, coords = intlinalg.span_coordinates(vecs, d)
-    for rows in (sym_power_rows(coords, 2), sym_power_rows(vecs, 2)):
+    span, cells = intlinalg.span_coordinates(vecs, d)
+    assert (sym_power_rows(cells, 2, span)
+            == sym_power_rows_from_dense(span_coordinates_from_dense(vecs, d)[1], 2))
+    for rows in (sym_power_rows(cells, 2, span), sym_power_rows_from_dense(vecs, 2)):
         for cap in (-1, comb(span + 1, 2)):
             assert (list(intlinalg._pivot_columns_mod_p(rows, cap).items())
                     == list(pivot_columns_mod_p_sequential(rows, cap).items()))
     if spec in DENSE_SIZED:
         full = dense_sym_power_rows(vecs, 2)
         cap = comb(d + 1, 2)
-        assert_stops_with_the_dense_loop(sym_power_rows(vecs, 2), cap, dense_rank_mod_p(full, cap))
+        assert_stops_with_the_dense_loop(sym_power_rows_from_dense(vecs, 2), cap,
+                                         dense_rank_mod_p(full, cap))
     if spec in BAREISS_SIZED:
         assert bareiss_rank(full) == SYM2_RANKS[spec]
 
@@ -542,7 +550,7 @@ def test_sym_square_rank_matches_bareiss_on_the_dense_squares(vecs, slack):
     # when the modular pass finds the whole span, the vectors that made its
     # pivots, cut to the pivot columns, have a nonzero determinant over Q;
     # the pass reads the vectors last-first, as span_coordinates does
-    rows = sym_power_rows(vecs[::-1], 1)
+    rows = sym_power_rows_from_dense(vecs[::-1], 1)
     cols = sorted(intlinalg._pivot_columns_mod_p(rows, len(vecs[0])))
     if len(cols) == span:
         counts = [len(intlinalg._pivot_columns_mod_p(rows[:i], -1)) for i in range(len(rows) + 1)]
@@ -560,18 +568,18 @@ def test_span_coordinates_below_the_modular_cap(vecs, slack):
     # hides the span or its pivot columns, or the lift fails, and then the
     # HNF does: exactly s coordinates, injective on the span
     s = bareiss_rank(vecs)
-    rows = sym_power_rows(vecs, 1)
+    rows = sym_power_rows_from_dense(vecs, 1)
     hnf_calls = 0 if certificate_settles(rows) else 1
     if all(abs(x) < _P for v in vecs for x in v):
         # no base vector has an entry of _P or more, so every minor of the
         # base is below 2^30 (Hadamard's bound): the certificate settles
         assert hnf_calls == 0
     with mock.patch.object(intlinalg, "_hnf_rows", wraps=intlinalg._hnf_rows) as fallback:
-        span, coords = intlinalg.span_coordinates(vecs, s + slack)
+        span, cells = intlinalg.span_coordinates(vecs, s + slack)
     assert fallback.call_count == hnf_calls
     assert span == s
-    assert all(len(v) == s for v in coords)
-    assert bareiss_rank(coords) == s
+    assert all(0 <= i < s for c in cells for i, _ in c)
+    assert bareiss_rank([dense_of(c, s) for c in cells]) == s
     squares = bareiss_rank(dense_sym_power_rows(vecs, 2))
     assert perfection.sym_square_rank(vecs, s + slack) == squares
 
@@ -585,13 +593,34 @@ def test_span_coordinates_match_the_rows_built_at_once(vecs, slack):
     # it; the HNF fallback must still see every row, so the columns are
     # those of the flattening built whole and handed to both passes
     cap = bareiss_rank(vecs) + slack
-    rows = sym_power_rows(vecs[::-1], 1)
+    rows = sym_power_rows_from_dense(vecs[::-1], 1)
     cols = intlinalg._pivot_columns_mod_p(rows, cap)
     if len(cols) < cap:
         cols = [min(row) for row in intlinalg._hnf_rows(rows)]
-    span, coords = intlinalg.span_coordinates(vecs, cap)
+    cols = sorted(cols)
+    span, cells = intlinalg.span_coordinates(vecs, cap)
     assert span == len(cols)
-    assert coords == [tuple(x for c, x in enumerate(v) if c in cols) for v in vecs]
+    assert cells == [[(j, v[c]) for j, c in enumerate(cols) if v[c]] for v in vecs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sets(), st.integers(0, 2))
+@example([(0, 0), (0, 0)], 0)  # span 0: every vector has empty cells
+@example([(_P, 1), (0, 1)], 0)  # span 2, one pivot modulo the prime: the HNF runs
+@example([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 1)  # span 1 below the cap 2
+def test_span_cells_and_their_rows_match_the_dense_references(vecs, slack):
+    # the one-scan span pass gives the dense pass's s and projected vectors,
+    # as cells, and the flattenings built from those cells are the dense
+    # builder's rows, entry for entry and in the same order, at k = 1..4
+    cap = bareiss_rank(vecs) + slack
+    span, cells = intlinalg.span_coordinates(vecs, cap)
+    dense_span, coords = span_coordinates_from_dense(vecs, cap)
+    assert span == dense_span
+    assert cells == [cells_of(v) for v in coords]
+    for k in range(1, 5):
+        rows = sym_power_rows(cells, k, span)
+        assert ([list(row.items()) for row in rows]
+                == [list(row.items()) for row in sym_power_rows_from_dense(coords, k)]), k
 
 
 def test_rank_examples():
@@ -1197,15 +1226,15 @@ if __name__ == "__main__":
         mid = time.process_time()
         dense_result = dense_rank_mod_p(full, cap)
         end = time.process_time()
-        ambient = sym_power_rows(vecs, 2)
+        ambient = sym_power_rows_from_dense(vecs, 2)
         assert_stops_with_the_dense_loop(ambient, cap, dense_result)
-        span, coords = intlinalg.span_coordinates(vecs, d)
-        projected = sym_power_rows(coords, 2)
+        span, cells = intlinalg.span_coordinates(vecs, d)
+        projected = sym_power_rows(cells, 2, span)
         print(json.dumps({
             "spec": spec, "mp": len(vecs), "cap": cap, "certified_rank": certified,
             "settled": dict(zip(("span", "sym2"), settled(perfection.sym_square_rank, vecs, d))),
             "cpu_s": round(mid - start, 3),
-            "span_pass": eliminator_work(sym_power_rows(vecs[::-1], 1), d),
+            "span_pass": eliminator_work(sym_power_rows_from_dense(vecs[::-1], 1), d),
             "sym2": {"cols": len(set().union(*projected)),
                      **eliminator_work(projected, comb(span + 1, 2))},
             "sym2_ambient": {"cols": len(set().union(*ambient)), **eliminator_work(ambient, cap)},
@@ -1334,7 +1363,7 @@ if __name__ == "__main__":
     with (mock.patch.object(intlinalg, "_hnf_rows", timed_hnf),
           mock.patch.object(intlinalg, "span_coordinates",
                             watched("span", intlinalg.span_coordinates,
-                                    lambda vecs: sym_power_rows(vecs, 1))),
+                                    lambda vecs: sym_power_rows_from_dense(vecs, 1))),
           mock.patch.object(intlinalg, "certified_rank",
                             watched("sym2", intlinalg.certified_rank, lambda rows: rows))):
         start = time.process_time()

@@ -533,9 +533,10 @@ def test_enumeration_edge_cases():
     for lat, norms in cases:
         _assert_three_way_agreement(lat, norms)
     # at n <= 2 (z1, z2 and the two one-row systems) norm 3 looks up three
-    # coordinates and has no placement to make; n = 3 keeps pairs throughout
+    # coordinates and has no placement to make; n = 3 looks up pairs at
+    # every norm but 2, where it places one coordinate and looks up one
     assert all(lattice._lookup_width(n, 3) == 3 for n in (1, 2))
-    assert all(lattice._lookup_width(3, m) == 2 for m in range(1, 40))
+    assert [lattice._lookup_width(3, m) for m in range(1, 40)] == [2, 1] + [2] * 37
     # Z^6 and Z^4 held inside Z^13 and Z^14 by equality rows, under one
     # congruence row, look up three coordinates at norms 7-11: (2, 1, 1) at
     # remaining norm 6 below a placed +-1 at norm 7, and at the root (2, 2, 1)
@@ -560,8 +561,36 @@ def test_the_lookup_width_takes_triples_only_where_they_pay():
                            ("LA:Z/32", 4, 2), ("T:5", 4, 2), ("Ld:30", 4, 2)):
         n = families.build_family(spec).ambient_dim
         assert lattice._lookup_width(n, m) == width, (spec, m)
-    # norms up to 5 keep pairs from n = 3 on
-    assert all(lattice._lookup_width(n, m) == 2 for n in range(3, 300) for m in range(1, 6))
+    # norms up to 5 keep pairs from n = 3 on, but for norm 2, which looks up
+    # one coordinate below one placement and builds no pair table
+    assert all(lattice._lookup_width(n, m) == (1 if m == 2 else 2)
+               for n in range(3, 300) for m in range(1, 6))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_norm_2_is_walked_with_width_1_where_it_has_vectors(n):
+    # norm 2 places one coordinate and looks the other up among the single
+    # placements; Z^n, A_n (sum zero, in Z^(n + 1)) and D_n (even sum) have
+    # n(n - 1), n(n + 1)/2 and n(n - 1) pairs of norm-2 vectors, the roots
+    # +-e_i +-e_j that they hold, and the walk, the reference walk and the
+    # oracle agree on them and on the norms around them
+    z, a, d = (build(_cs(n, [])), build(_cs(n + 1, [((1,) * (n + 1), 0)])),
+               build(_cs(n, [((1,) * n, 2)])))
+    for lat, norm_1, norm_2 in ((z, n, n * (n - 1)), (a, 0, n * (n + 1) // 2),
+                                (d, 0, n * (n - 1))):
+        assert lattice._lookup_width(lat.ambient_dim, 2) == 1
+        found = _assert_three_way_agreement(lat, range(1, 5))
+        assert (found[1].count, found[2].count) == (norm_1, norm_2), (lat.ambient_dim, n)
+        assert all(sorted(map(abs, v)) == [0] * (len(v) - 2) + [1, 1] for v in found[2].vectors)
+
+
+def test_norm_2_under_congruence_rows_alone():
+    # the weights 1..6 mod 7 are distinct, so no e_i - e_j lies in the
+    # lattice, and e_i + e_j does for the three pairs of weights that cancel,
+    # each even under the parity row
+    lat = build(_cs(6, [((1, 2, 3, 4, 5, 6), 7), ((1, 1, 0, 0, 1, 1), 2)]))
+    found = _assert_three_way_agreement(lat, range(1, 5))
+    assert found[2].vectors == ((0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1))
 
 
 @st.composite

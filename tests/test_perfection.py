@@ -18,6 +18,7 @@ from references import (
     orthogonality_degrees,
     spectrum_by_exact_roots,
     srg_by_matrix_identity,
+    sym_power_rows_from_dense,
 )
 
 from latlab import families, intlinalg, lattice, perfection, tables
@@ -26,6 +27,7 @@ from latlab.families import parse_family
 from latlab.lattice import MinimalVectorSet, sign_canonical
 from latlab.perfection import (
     _neighbor_counts,
+    _unit_support,
     alpha_series,
     hyperplane_split_check,
     minvec_graph,
@@ -63,7 +65,7 @@ def test_certified_rank_matches_bareiss():
     for spec in ("Ld:6", "Ld:7", "Od:7", "LA:Z/8", "Md:7"):
         lat = families.build_family(spec)
         vecs = lattice.vectors_of_norm(lat, 4).vectors
-        rows = intlinalg.sym_power_rows(vecs, 2)
+        rows = sym_power_rows_from_dense(vecs, 2)
         cols = sorted(set().union(*rows))
         expected = bareiss_rank([[row.get(c, 0) for c in cols] for row in rows])
         assert sym_square_rank(vecs) == sym_square_rank(vecs, lat.rank) == expected, spec
@@ -458,13 +460,18 @@ def test_all_L_d_norm4_vectors_are_pattern_shaped():
             assert 1 <= i <= d - 1 and i + 2 * alpha + beta <= d + 2
 
 
+def unit_counts(targets, vectors):
+    """_neighbor_counts on the cells of dense targets and vectors."""
+    return _neighbor_counts(list(map(_unit_support, targets)), list(map(_unit_support, vectors)))
+
+
 def test_neighbor_counts_match_the_scanning_loop_on_Ld():
     # the loop costs about 2 ms a target at d = 40, so large d take a spread
     # of about 200 targets against every shortest vector
     for d in (*range(4, 13), 16, 20, 24, 28, 32, 36, 40):
         vecs = lattice.vectors_of_norm(families.build_family(f"Ld:{d}"), 4).vectors
         targets = vecs[::max(1, len(vecs) // 200)]
-        assert _neighbor_counts(targets, vecs) == neighbor_counts_reference(targets, vecs), d
+        assert unit_counts(targets, vecs) == neighbor_counts_reference(targets, vecs), d
 
 
 @st.composite
@@ -491,8 +498,8 @@ def unit_support_sets(draw):
 @given(unit_support_sets())
 def test_neighbor_counts_match_the_scanning_loop_on_sign_patterns(case):
     targets, vectors = case
-    assert _neighbor_counts(targets, vectors) == neighbor_counts_reference(targets, vectors)
-    assert _neighbor_counts(targets, targets) == neighbor_counts_reference(targets, targets)
+    assert unit_counts(targets, vectors) == neighbor_counts_reference(targets, vectors)
+    assert unit_counts(targets, targets) == neighbor_counts_reference(targets, targets)
 
 
 def test_neighbor_counts_refuse_other_shapes():
@@ -500,9 +507,14 @@ def test_neighbor_counts_refuse_other_shapes():
     for bad in ((2, 0, 0, 0, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1), (1, -1, 2, 1, 0),
                 (0, 0, 0, 0, 0)):
         with pytest.raises(ValueError, match="four \\+-1 entries"):
-            _neighbor_counts([good], [good, bad])
+            unit_counts([good], [good, bad])
         with pytest.raises(ValueError, match="four \\+-1 entries"):
-            _neighbor_counts([bad], [good])
+            unit_counts([bad], [good])
+    # the public routes scan every shortest vector: Z^5 has (2, 0, 0, 0, 0)
+    z5 = lattice.build(lattice.ConstraintSystem(tuple("abcde"), ()))
+    for call in (lambda: neighbor_survey(z5), lambda: neighbor_stats(z5, good)):
+        with pytest.raises(ValueError, match="four \\+-1 entries"):
+            call()
 
 
 def test_neighbor_stats_refuse_a_vector_outside_the_shortest_vectors():
